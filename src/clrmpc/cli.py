@@ -221,7 +221,7 @@ def read_stats(text):
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != STATS_HEADER:
         raise ModelFormatError("unrecognized stats header")
-    return synthesis._parse_keyed("\n".join(lines[1:]), STATS_KEYS, "stats")
+    return model.parse_keyed(text, STATS_KEYS, "stats")
 
 
 def cmd_simulate(args):

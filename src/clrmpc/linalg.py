@@ -1,9 +1,9 @@
 """Dense real linear algebra kernels used throughout the toolkit.
 
-Three operations carry the numerical load: Kronecker products for stacked
-block constraints, a symmetric eigendecomposition used both inside the
-terminal cost search and as the independent check on its result, and a
-discrete algebraic Riccati solver for the terminal feedback gain.
+Two operations carry the numerical load: a symmetric eigendecomposition
+used both inside the terminal cost search and as the independent check on
+its result, and a discrete algebraic Riccati solver for the terminal
+feedback gain.
 
 The eigendecomposition is a cyclic Jacobi iteration: sweeps of plane
 rotations annihilate off-diagonal entries until the off-diagonal Frobenius
@@ -39,25 +39,6 @@ def as_matrix(m, name="matrix"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
-
-
-def kron(a, b):
-    """Kronecker product of two dense matrices."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
-
-
-def block_diag(*blocks):
-    """Direct sum of square or rectangular blocks."""
-    mats = [as_matrix(b, "block") for b in blocks]
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
 
 
 @dataclass

@@ -13,6 +13,7 @@ written by the writer and nothing else.
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,26 @@ class Polytope:
         x = np.asarray(x, dtype=float).ravel()
         scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
         return bool(np.all(self.h @ x <= self.b + tol * scale))
+
+    @cached_property
+    def bounding_box(self):
+        """Per-coordinate (lo, hi) bounds, from 2 * dim LPs on first use.
+
+        The result is kept on the instance, so h and b must not change
+        once the box has been read.
+        """
+        lo = np.empty(self.dim)
+        hi = np.empty(self.dim)
+        for i in range(self.dim):
+            c = np.zeros(self.dim)
+            c[i] = 1.0
+            smin = qpsolver.linear_program(c, a_in=self.h, b_in=self.b)
+            smax = qpsolver.linear_program(-c, a_in=self.h, b_in=self.b)
+            if smin.status != qpsolver.OPTIMAL or smax.status != qpsolver.OPTIMAL:
+                raise EmptyPolytope("polytope is empty or unbounded")
+            lo[i] = smin.x[i]
+            hi[i] = smax.x[i]
+        return lo, hi
 
 
 @dataclass
@@ -289,9 +310,6 @@ def _box_bounds(w):
     return lo, hi
 
 
-_BBOX_CACHE = {}
-
-
 def sample_disturbance(w, rng):
     """Uniform draw from the disturbance polytope.
 
@@ -302,21 +320,7 @@ def sample_disturbance(w, rng):
     if box is not None:
         lo, hi = box
         return rng.uniform(lo, hi)
-    key = (w.h.tobytes(), w.b.tobytes())
-    if key not in _BBOX_CACHE:
-        lo = np.empty(w.dim)
-        hi = np.empty(w.dim)
-        for i in range(w.dim):
-            c = np.zeros(w.dim)
-            c[i] = 1.0
-            smin = qpsolver.linear_program(c, a_in=w.h, b_in=w.b)
-            smax = qpsolver.linear_program(-c, a_in=w.h, b_in=w.b)
-            if smin.status != qpsolver.OPTIMAL or smax.status != qpsolver.OPTIMAL:
-                raise EmptyPolytope("disturbance set is empty or unbounded")
-            lo[i] = smin.x[i]
-            hi[i] = smax.x[i]
-        _BBOX_CACHE[key] = (lo, hi)
-    lo, hi = _BBOX_CACHE[key]
+    lo, hi = w.bounding_box
     span = np.maximum(hi - lo, 0.0)
     for _ in range(10_000):
         cand = lo + rng.uniform(0.0, 1.0, size=w.dim) * span
@@ -353,53 +357,58 @@ def write_model_text(sys, w, c):
     return "\n".join(lines) + "\n"
 
 
-def read_model_text(text):
-    """Parse the key-value model format; rejects unknown or missing keys."""
+def parse_keyed(text, keys, what):
+    """Scan `key = value` text into a dict of Python literals.
+
+    Models, certificates, verification reports and simulation stats all
+    use this format.  A value runs on across lines until its brackets
+    balance, so a stray `]` ends it early and fails as a bad literal.
+    Blank lines and `#` comments are skipped.  Every key must be one of
+    keys and appear exactly once.  The bracket depth is kept per line, so
+    a value of many lines is read in time linear in its length.
+    """
     entries = {}
     pending_key = None
-    pending_value = []
+    pending = []
     depth = 0
-
-    def finish():
-        nonlocal pending_key, pending_value, depth
-        raw = " ".join(pending_value)
-        try:
-            entries[pending_key] = ast.literal_eval(raw)
-        except (ValueError, SyntaxError) as exc:
-            raise ModelFormatError(f"bad literal for key '{pending_key}'") from exc
-        pending_key = None
-        pending_value = []
-        depth = 0
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
         if pending_key is None:
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ModelFormatError(f"line {lineno}: expected 'key = value'")
-            key, rhs = stripped.split("=", 1)
-            key = key.strip()
-            if key not in MODEL_KEYS:
-                raise ModelFormatError(f"line {lineno}: unknown key '{key}'")
+            if "=" not in line:
+                raise ModelFormatError(
+                    f"{what} line {lineno}: expected 'key = value'")
+            key, line = line.split("=", 1)
+            key, line = key.strip(), line.strip()
+            if key not in keys:
+                raise ModelFormatError(f"{what} line {lineno}: unknown key {key!r}")
             if key in entries:
-                raise ModelFormatError(f"line {lineno}: duplicate key '{key}'")
+                raise ModelFormatError(
+                    f"{what} line {lineno}: duplicate key {key!r}")
             pending_key = key
-            pending_value = [rhs.strip()]
-            depth = rhs.count("[") - rhs.count("]")
-            if depth <= 0:
-                finish()
-        else:
-            pending_value.append(stripped)
-            depth += stripped.count("[") - stripped.count("]")
-            if depth <= 0:
-                finish()
+        pending.append(line)
+        depth += line.count("[") - line.count("]")
+        if depth <= 0:
+            try:
+                entries[pending_key] = ast.literal_eval(" ".join(pending))
+            except (ValueError, SyntaxError) as exc:
+                raise ModelFormatError(
+                    f"{what}: bad literal for key {pending_key!r}") from exc
+            pending_key = None
+            pending = []
+            depth = 0
     if pending_key is not None:
-        raise ModelFormatError(f"unterminated value for key '{pending_key}'")
-    missing = [k for k in MODEL_KEYS if k not in entries]
+        raise ModelFormatError(f"{what}: unterminated value for key {pending_key!r}")
+    missing = [k for k in keys if k not in entries]
     if missing:
-        raise ModelFormatError(f"missing keys: {', '.join(missing)}")
+        raise ModelFormatError(f"{what}: missing keys {', '.join(missing)}")
+    return entries
 
+
+def read_model_text(text):
+    """Parse the key-value model format; rejects unknown or missing keys."""
+    entries = parse_keyed(text, MODEL_KEYS, "model")
     dims = {k: int(entries[k]) for k in ("n_x", "n_u", "n_p", "n_w")}
     try:
         sys = UncertainSystem(

@@ -9,7 +9,7 @@ of that program is the region-of-attraction test; its optimal value is
 the function the closed loop descends.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class ControllerState:
     All matrices live in the stacked input space: with the nominal plan
     written as s_mat @ [x; u_stack], the cost splits into
     u' hess u / 2 + (f_map x)' u + x' v_map x and the tightened stage and
-    terminal constraints into a_in u <= bt - g_map x.  last_solution is
-    the only mutable slot and exists purely for inspection.
+    terminal constraints into a_in u <= bt - g_map x.
     """
 
     certificate: object
@@ -49,7 +48,6 @@ class ControllerState:
     a_in: np.ndarray
     g_map: np.ndarray
     bt: np.ndarray
-    last_solution: object = field(default=None, compare=False)
 
 
 def make_controller(sys, w, c, cert):
@@ -119,15 +117,13 @@ def solve_mpc(ctrl, x):
     states = stacked[: (n + 1) * n_x].reshape(n + 1, n_x)
     inputs = stacked[(n + 1) * n_x:].reshape(n, n_u)
     value = float(sol.objective + x @ ctrl.v_map @ x)
-    out = MpcSolution(
+    return MpcSolution(
         u=inputs[0].copy(),
         value=value,
         status=sol.status,
         states=states,
         inputs=inputs,
     )
-    ctrl.last_solution = out
-    return out
 
 
 def roa_membership(ctrl, x):

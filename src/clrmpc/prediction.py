@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-_BUNDLE_CACHE = {}
-
 
 def _freeze(a):
     a = np.ascontiguousarray(a)
@@ -71,9 +69,7 @@ class PredictionBundle:
     s_u: np.ndarray
     h_xu: np.ndarray
     b_stack: np.ndarray
-    l_mat: np.ndarray
     d_xu: np.ndarray
-    c_s: list = field(default_factory=list)
     c_w: list = field(default_factory=list)
 
     @property
@@ -99,8 +95,8 @@ class PredictionBundle:
 def build_bundle(sys, c, y, z, n):
     """Assemble the stacked matrices for horizon n and terminal set (y, z).
 
-    Results are cached on the numeric content of the inputs and returned
-    with read-only arrays, so repeated calls share one bundle.
+    Every array is returned read-only, so no caller can change a bundle
+    that others hold.
     """
     if n < 1:
         raise DimensionMismatch("horizon must be at least 1")
@@ -112,15 +108,6 @@ def build_bundle(sys, c, y, z, n):
         raise DimensionMismatch("terminal matrix columns must equal n_x")
     if c.f.shape[1] != sys.n_x or c.g.shape[1] != sys.n_u:
         raise DimensionMismatch("constraint set does not match system dims")
-
-    key = tuple(
-        m.tobytes()
-        for m in (sys.a, sys.b, sys.b_p, sys.b_w, sys.d_x, sys.d_u, sys.d_w,
-                  *sys.deltas, c.f, c.g, c.b, y, z)
-    ) + (n,)
-    hit = _BUNDLE_CACHE.get(key)
-    if hit is not None:
-        return hit
 
     n_x, n_u, n_p = sys.n_x, sys.n_u, sys.n_p
     n_c = c.n_c
@@ -146,26 +133,18 @@ def build_bundle(sys, c, y, z, n):
 
     b_stack = np.concatenate([np.tile(c.b, n), z])
 
-    one_step = np.zeros((n_x, n_x + n * n_u))
-    one_step[:, :n_x] = sys.a
-    one_step[:, n_x:n_x + n_u] = sys.b
-    l_mat = s_x @ one_step
-
     d_xu = np.zeros((n_p, n_x + n * n_u))
     d_xu[:, :n_x] = sys.d_x
     d_xu[:, n_x:n_x + n_u] = sys.d_u
 
-    c_s = [_freeze(l_mat + s_x @ sys.b_p @ dj @ d_xu) for dj in sys.deltas]
     c_w = [_freeze(s_x @ (sys.b_w + sys.b_p @ dj @ sys.d_w)) for dj in sys.deltas]
 
-    bundle = PredictionBundle(
+    return PredictionBundle(
         n=n, n_x=n_x, n_u=n_u, n_c=n_c, n_y=n_y,
         s_mat=_freeze(s_mat), s_x=_freeze(s_x), s_u=_freeze(s_u),
         h_xu=_freeze(h_xu), b_stack=_freeze(b_stack),
-        l_mat=_freeze(l_mat), d_xu=_freeze(d_xu), c_s=c_s, c_w=c_w,
+        d_xu=_freeze(d_xu), c_w=c_w,
     )
-    _BUNDLE_CACHE[key] = bundle
-    return bundle
 
 
 def build_gain_matrices(bundle, gains, sys, vertex):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model, mpc
 from .errors import MpcInfeasible
-from .utils import make_rng, parallel_map
+from .utils import make_rng
 
 FIXED_DELTA = "fixed_delta"
 PER_STEP_DELTA = "per_step_delta"
@@ -174,18 +174,18 @@ def run_batch(ctrl, sys, w, x0, steps, runs, seed, mode=FIXED_DELTA,
               delta_schedule=None):
     """Independent rollouts keyed by run index; infeasible runs are kept.
 
-    Each run draws from its own generator stream, so results do not
-    depend on execution order and any single run can be reproduced alone.
+    Runs execute one after another in index order; each draws from its
+    own generator stream, so any single run can be reproduced alone.
     """
-    def one(i):
+    out = []
+    for i in range(int(runs)):
         rng = make_rng(seed, stream=i)
         try:
-            return run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=mode,
-                                   delta_schedule=delta_schedule)
+            out.append(run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=mode,
+                                       delta_schedule=delta_schedule))
         except MpcInfeasible as err:
-            return err.trajectory
-
-    return parallel_map(one, range(int(runs)))
+            out.append(err.trajectory)
+    return out
 
 
 @dataclass

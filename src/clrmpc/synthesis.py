@@ -24,7 +24,6 @@ computed under the terminal feedback, scaled up until the multiplier
 step certifies it, and never accepts an objective increase.
 """
 
-import ast
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ from .errors import (
     SolverFailure,
 )
 from .linalg import solve_dare
-from .utils import parallel_map
 
 SIGMA_GATE = 1e-7
 ALPHA_MIN = 1e-9
@@ -389,11 +387,9 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
     if pools is None:
         pools = [None] * n_delta
 
-    def run(j):
-        return _vertex_multiplier(bundle, sys, w, a_lp, bt, j,
-                                  warm_gains[j], pools[j], target)
-
-    results = parallel_map(run, range(n_delta))
+    results = [_vertex_multiplier(bundle, sys, w, a_lp, bt, j, warm_gains[j],
+                                  pools[j], target)
+               for j in range(n_delta)]
     gains = [r[0] for r in results]
     multipliers = [r[1] for r in results]
     sigmas = np.array([r[2] for r in results])
@@ -626,51 +622,12 @@ def write_certificate(cert):
     return "\n".join(lines) + "\n"
 
 
-def _parse_keyed(text, keys, what):
-    entries = {}
-    pending_key = None
-    pending = []
-    depth = 0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if pending_key is None:
-            if "=" not in line:
-                raise ModelFormatError(f"{what}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in keys:
-                raise ModelFormatError(f"{what}: unknown key {key!r}")
-            if key in entries:
-                raise ModelFormatError(f"{what}: duplicate key {key!r}")
-            pending_key = key
-            pending = [value.strip()]
-        else:
-            pending.append(line)
-        depth = sum(p.count("[") - p.count("]") for p in pending)
-        if depth == 0:
-            joined = " ".join(pending)
-            try:
-                entries[pending_key] = ast.literal_eval(joined)
-            except (ValueError, SyntaxError) as exc:
-                raise ModelFormatError(
-                    f"{what}: bad literal for {pending_key!r}: {exc}") from None
-            pending_key = None
-    if pending_key is not None:
-        raise ModelFormatError(f"{what}: unterminated value for {pending_key!r}")
-    missing = [k for k in keys if k not in entries]
-    if missing:
-        raise ModelFormatError(f"{what}: missing keys {missing}")
-    return entries
-
-
 def read_certificate(text, expected_fingerprint=None):
     """Parse a certificate file; reject stale or malformed ones."""
     first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     if first != CERT_HEADER:
         raise ModelFormatError("certificate: missing format header")
-    e = _parse_keyed(text, CERT_KEYS, "certificate")
+    e = model.parse_keyed(text, CERT_KEYS, "certificate")
     n = int(e["n"])
     tight = np.asarray(e["tightenings"], dtype=float)
     k_terms = [np.asarray(m, dtype=float) for m in e["k_term"]]

@@ -1,14 +1,10 @@
-"""Small shared helpers: seeded counter-based RNG, bounded thread pool,
-stable float formatting for text artifacts.
+"""Small shared helpers: seeded counter-based RNG, hashing, stable float
+formatting for text artifacts.
 """
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-THREADS_ENV = "CLR_MPC_THREADS"
 
 _MASK64 = (1 << 64) - 1
 
@@ -21,31 +17,6 @@ def make_rng(seed, stream=0):
     """
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def worker_count(n_items):
-    """Worker cap for parallel sections; CLR_MPC_THREADS overrides cpu count."""
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_items))
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; runs serially when one worker suffices."""
-    items = list(items)
-    if not items:
-        return []
-    workers = worker_count(len(items))
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def sha256_hex(data):

@@ -260,20 +260,22 @@ def _decompositions(sys, delta, tau, rng, extra=3):
     return out
 
 
-def _boundary_scale(ctrl, direction, hi_start=1.0, iters=16):
-    """Bisection estimate of the feasible-set boundary along a ray."""
-    lo, hi = 0.0, hi_start
-    while mpc.roa_membership(ctrl, hi * direction):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e9:
-            raise SolverFailure("feasible set appears unbounded along ray")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mpc.roa_membership(ctrl, mid * direction):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _boundary_scale(ctrl, direction):
+    """Largest t with t * direction in the feasible set, by one LP.
+
+    Maximizes t over (u, t) subject to a_in u + t (g_map direction) <= bt,
+    which is the online QP's feasibility condition along the ray.
+    """
+    cost = np.zeros(ctrl.a_in.shape[1] + 1)
+    cost[-1] = -1.0
+    sol = qpsolver.linear_program(
+        cost, a_in=np.column_stack([ctrl.a_in, ctrl.g_map @ direction]),
+        b_in=ctrl.bt)
+    if sol.status == qpsolver.UNBOUNDED:
+        raise SolverFailure("feasible set appears unbounded along ray")
+    if sol.status != qpsolver.OPTIMAL:
+        raise SolverFailure("boundary LP ended with " + sol.status)
+    return float(sol.x[-1])
 
 
 def lyapunov_check(cert, ctrl, sys, w, samples, rng):
@@ -392,8 +394,7 @@ def read_report(text):
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != REPORT_HEADER:
         raise ModelFormatError("unrecognized report header")
-    entries = synthesis._parse_keyed("\n".join(lines[1:]), REPORT_KEYS,
-                                     "report")
+    entries = model.parse_keyed(text, REPORT_KEYS, "report")
     neg = list(entries["farkas_negativity"])
     eq = list(entries["farkas_equality"])
     ineq = list(entries["farkas_inequality"])

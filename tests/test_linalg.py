@@ -4,59 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clrmpc.errors import NotSymmetric, Unstabilizable
-from clrmpc.linalg import SymEig, block_diag, kron, solve_dare, spectral_radius, sym_eig
+from clrmpc.linalg import SymEig, solve_dare, spectral_radius, sym_eig
 
 
 def rand_sym(rng, n):
     m = rng.standard_normal((n, n))
     return 0.5 * (m + m.T)
-
-
-def test_kron_identity_left():
-    f = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = kron(np.eye(3), f)
-    assert out.shape == (6, 6)
-    for i in range(3):
-        np.testing.assert_allclose(out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2], f)
-    # off-diagonal blocks vanish
-    assert np.abs(out[0:2, 2:4]).max() == 0.0
-
-
-def test_kron_scalar():
-    np.testing.assert_allclose(kron(np.array([[2.0]]), np.array([[3.0]])), [[6.0]])
-
-
-def test_kron_applies_blockwise():
-    # (I kron F) on stacked vectors acts block by block
-    rng = np.random.default_rng(0)
-    f = rng.standard_normal((3, 2))
-    xs = [rng.standard_normal(2) for _ in range(4)]
-    stacked = np.concatenate(xs)
-    out = kron(np.eye(4), f) @ stacked
-    expect = np.concatenate([f @ x for x in xs])
-    np.testing.assert_allclose(out, expect, atol=1e-12)
-
-
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_kron_mixed_product(na, nb, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((na, na))
-    b = rng.standard_normal((nb, nb))
-    c = rng.standard_normal((na, na))
-    d = rng.standard_normal((nb, nb))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-9 * (1 + np.abs(rhs).max()))
-
-
-def test_block_diag():
-    out = block_diag(np.eye(2), 3 * np.ones((1, 3)))
-    assert out.shape == (3, 5)
-    np.testing.assert_allclose(out[:2, :2], np.eye(2))
-    np.testing.assert_allclose(out[2, 2:], [3, 3, 3])
-    assert np.abs(out[:2, 2:]).max() == 0.0
 
 
 def test_sym_eig_diagonal():

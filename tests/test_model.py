@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clrmpc import model
+from clrmpc import model, qpsolver
 from clrmpc.errors import DimensionMismatch, EmptyPolytope, ModelFormatError
 from clrmpc.utils import make_rng
 
@@ -145,15 +145,25 @@ def test_sample_disturbance_degenerate_origin():
     assert np.array_equal(model.sample_disturbance(w, rng), np.zeros(2))
 
 
-def test_sample_disturbance_general_polytope():
+def test_sample_disturbance_general_polytope(monkeypatch):
     # triangle w1 >= 0, w2 >= 0, w1 + w2 <= 1
     w = model.Polytope(
         h=np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), b=np.array([0.0, 0.0, 1.0])
     )
+    calls = []
+    real_lp = qpsolver.linear_program
+
+    def counting_lp(*args, **kwargs):
+        calls.append(1)
+        return real_lp(*args, **kwargs)
+
+    monkeypatch.setattr(qpsolver, "linear_program", counting_lp)
     rng = make_rng(15)
     for _ in range(50):
         d = model.sample_disturbance(w, rng)
         assert w.contains(d, tol=1e-9)
+    # the bounding box is solved once per set: two LPs per coordinate
+    assert len(calls) == 2 * w.dim
 
 
 def test_model_text_round_trip_exact():
@@ -196,9 +206,13 @@ def test_model_text_rejects_duplicate_key():
 
 def test_model_text_rejects_bad_literal():
     sys, w, c = model.build_msd()
-    text = model.write_model_text(sys, w, c).replace("n_x = 4", "n_x = [1, ")
+    text = model.write_model_text(sys, w, c)
     with pytest.raises(ModelFormatError):
-        model.read_model_text(text)
+        model.read_model_text(text.replace("n_x = 4", "n_x = [1, "))
+    with pytest.raises(ModelFormatError, match="unterminated"):
+        model.read_model_text(text.rstrip()[:-1])
+    with pytest.raises(ModelFormatError, match="bad literal"):
+        model.read_model_text(text.replace("n_x = 4", "n_x = 4]"))
 
 
 def test_model_text_rejects_dim_mismatch():

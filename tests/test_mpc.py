@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clrmpc import mpc, qpsolver
+from clrmpc import mpc, qpsolver, verify
 from clrmpc.errors import FingerprintMismatch, MpcInfeasible
 
 X0 = np.array([1.9, 0.5, -1.7, 1.7])
@@ -22,7 +22,6 @@ def test_benchmark_state_feasible(msd_controller):
     sol = mpc.solve_mpc(ctrl, X0)
     assert sol.status == qpsolver.OPTIMAL
     assert sol.value > 0.0
-    assert ctrl.last_solution is sol
 
 
 def test_plan_satisfies_dynamics_and_tightened_rows(msd_controller):
@@ -129,6 +128,7 @@ def test_roa_boundary_bisection(msd_controller):
         else:
             hi = mid
     assert hi - lo <= 1e-9 * max(1.0, hi)
+    assert verify._boundary_scale(ctrl, d) == pytest.approx(lo, rel=1e-6)
     inner = (lo - 1e-6) * d
     outer = (hi + 1e-6) * d
     assert mpc.solve_mpc(ctrl, inner).status == qpsolver.OPTIMAL

@@ -36,9 +36,8 @@ def test_msd_dimensions():
     assert bundle.s_mat.shape == (34, 14)
     assert bundle.b_stack.shape == (96,)
     assert bundle.n_t == 96
-    assert bundle.l_mat.shape == (34, 14)
     assert bundle.d_xu.shape == (2, 14)
-    assert len(bundle.c_s) == 4 and len(bundle.c_w) == 4
+    assert len(bundle.c_w) == 4
 
 
 def test_stack_reproduces_recursion():
@@ -61,7 +60,6 @@ def test_zero_uncertainty_collapses_c_s():
     sys = scalar_system()
     c = scalar_constraints()
     bundle = prediction.build_bundle(sys, c, y=[[1.0]], z=[1.0], n=3)
-    assert np.array_equal(bundle.c_s[0], bundle.l_mat)
     assert np.array_equal(bundle.c_w[0], bundle.s_x @ sys.b_w)
 
 
@@ -106,11 +104,9 @@ def scalar_null_delta(sys):
 def test_bundle_cache_and_readonly():
     sys, w, c = model.build_msd()
     y = np.ones((6, 4))
-    b1 = prediction.build_bundle(sys, c, y=y, z=np.ones(6), n=2)
-    b2 = prediction.build_bundle(sys, c, y=y, z=np.ones(6), n=2)
-    assert b1 is b2
+    bundle = prediction.build_bundle(sys, c, y=y, z=np.ones(6), n=2)
     with pytest.raises(ValueError):
-        b1.s_mat[0, 0] = 99.0
+        bundle.s_mat[0, 0] = 99.0
 
 
 def test_vertex_out_of_range():

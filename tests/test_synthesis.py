@@ -357,3 +357,7 @@ def test_certificate_rejects_malformed_text(msd_certificate):
     lines = [ln for ln in text.splitlines() if not ln.startswith("objective")]
     with pytest.raises(ModelFormatError):
         synthesis.read_certificate("\n".join(lines))
+    with pytest.raises(ModelFormatError, match="unterminated"):
+        synthesis.read_certificate(text.rstrip()[:-1])
+    with pytest.raises(ModelFormatError, match="bad literal"):
+        synthesis.read_certificate(text.replace("alpha = ", "alpha = ]", 1))
