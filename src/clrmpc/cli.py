@@ -2,7 +2,7 @@
 
 Four subcommands cover the whole pipeline on files in an output
 directory.  Exit codes are a stable contract: 2 infeasible initial
-guess, 3 synthesis solver failure, 4 failed verification, 5 certificate
+guess, 3 solver failure, 4 failed verification, 5 certificate
 and model fingerprints disagree, 6 closed-loop infeasibility, 1 other
 errors.  All artifacts are deterministic for a given seed; wall-clock
 measurements live only in the log files.
@@ -271,9 +271,12 @@ def cmd_simulate(args):
     (out / "sim_log.txt").write_text("\n".join(log) + "\n")
     print(f"{len(runs)} runs, mean cost {stats.mean_cost!r}, "
           f"{stats.violation_count} violations, "
-          f"{stats.infeasible_count} infeasible")
+          f"{stats.infeasible_count} infeasible, "
+          f"{stats.failed_count} solver failures")
     if stats.infeasible_count:
         return EXIT_MPC_INFEASIBLE
+    if stats.failed_count:
+        return EXIT_SYNTH
     return 0
 
 

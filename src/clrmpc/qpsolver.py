@@ -22,6 +22,7 @@ deterministic; identical input yields bit-identical output.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -87,7 +88,7 @@ class QpProblem:
             raise DimensionMismatch("a_in/b_in shapes inconsistent")
         for name, arr in (("h", self.h), ("f", self.f), ("a_eq", self.a_eq),
                           ("b_eq", self.b_eq), ("a_in", self.a_in), ("b_in", self.b_in)):
-            if arr.size and not np.all(np.isfinite(arr)):
+            if arr.size and not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
 
     @property
@@ -106,94 +107,98 @@ class QpSolution:
     kkt_residual: float
 
 
-class _SymFactor:
-    """Factor a dense symmetric matrix once, solve many right-hand sides.
-
-    Positive definite systems go through Cholesky; indefinite ones through
-    LDL' where d is block diagonal with 1x1 / 2x2 pivots.
-    """
-
-    def __init__(self, kmat, spd):
-        self._spd = False
-        if spd:
-            try:
-                self._chol = sla.cho_factor(kmat, lower=True, check_finite=False)
-                self._spd = True
-                return
-            except sla.LinAlgError:
-                pass
-        lu, d, perm = sla.ldl(kmat, check_finite=False)
-        self._l = lu[perm]
-        self._perm = perm
-        self._d = d
-
-    def solve(self, rhs):
-        if self._spd:
-            return sla.cho_solve(self._chol, rhs, check_finite=False)
-        w = sla.solve_triangular(self._l, rhs[self._perm], lower=True,
-                                 unit_diagonal=True, check_finite=False)
-        v = self._block_solve(w)
-        u = sla.solve_triangular(self._l.T, v, lower=False,
-                                 unit_diagonal=True, check_finite=False)
-        out = np.empty_like(u)
-        out[self._perm] = u
-        return out
-
-    def _block_solve(self, w):
-        d = self._d
-        n = d.shape[0]
-        v = np.empty_like(w)
-        i = 0
-        while i < n:
-            if i + 1 < n and d[i + 1, i] != 0.0:
-                a, b, c = d[i, i], d[i + 1, i], d[i + 1, i + 1]
-                det = a * c - b * b
-                w0, w1 = w[i], w[i + 1]
-                v[i] = (c * w0 - b * w1) / det
-                v[i + 1] = (-b * w0 + a * w1) / det
-                i += 2
-            else:
-                v[i] = w[i] / d[i, i]
-                i += 1
-        return v
+# Resolved once: the scipy.linalg wrappers look these up and validate their
+# arguments on every call, which costs several times a 14x14 factor-solve.
+_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _finite_solve(kmat, fac, rhs):
-    """Factor solve plus one refinement; least squares if pivots blew up."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sol = fac.solve(rhs)
-    if np.all(np.isfinite(sol)):
-        return sol + fac.solve(rhs - kmat @ sol)
-    sol, *_ = np.linalg.lstsq(kmat, rhs, rcond=None)
+def _cholesky_solve(chol, rhs):
+    sol, info = _POTRS(chol, rhs, lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
     return sol
 
 
+def _ldl_solver(kmat):
+    """Solver through LDL' of a symmetric, possibly indefinite matrix; d is
+    block diagonal with 1x1 / 2x2 pivots."""
+    lu, d, perm = sla.ldl(kmat, check_finite=False)
+    low = lu[perm]
+    n = d.shape[0]
+
+    def solve(rhs):
+        w = sla.solve_triangular(low, rhs[perm], lower=True,
+                                 unit_diagonal=True, check_finite=False)
+        v = np.empty_like(w)
+        i = 0
+        # a vanishing pivot gives a non-finite solve, which the caller
+        # replaces by least squares
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while i < n:
+                if i + 1 < n and d[i + 1, i] != 0.0:
+                    a, b, c = d[i, i], d[i + 1, i], d[i + 1, i + 1]
+                    det = a * c - b * b
+                    w0, w1 = w[i], w[i + 1]
+                    v[i] = (c * w0 - b * w1) / det
+                    v[i + 1] = (-b * w0 + a * w1) / det
+                    i += 2
+                else:
+                    v[i] = w[i] / d[i, i]
+                    i += 1
+        u = sla.solve_triangular(low.T, v, lower=False,
+                                 unit_diagonal=True, check_finite=False)
+        out = np.empty_like(u)
+        out[perm] = u
+        return out
+
+    return solve
+
+
 def _solve_kkt(hbar, a_eq, rhs_x, rhs_y, reg):
-    """Solve the reduced symmetric KKT system with one refinement pass."""
+    """Solve the regularized reduced KKT system with one refinement pass.
+
+    Without equality rows the matrix is positive definite and is factored
+    by Cholesky; with them, or when Cholesky breaks down, by LDL'.  If the
+    factor solve is not finite, least squares replaces it.
+    """
     n = hbar.shape[0]
     me = a_eq.shape[0]
+    if me:
+        kmat = np.zeros((n + me, n + me))
+        kmat[:n, :n] = hbar
+        kmat[:n, n:] = a_eq.T
+        kmat[n:, :n] = a_eq
+        kmat[n:, n:] = -reg * np.eye(me)
+        rhs = np.concatenate([rhs_x, rhs_y])
+    else:
+        kmat = hbar.copy()
+        rhs = rhs_x
+    dim = n + me
+    # kmat is contiguous, so ravel is a view: reg on the first n diagonal entries
+    kmat.ravel()[:n * (dim + 1):dim + 1] += reg
+    solve = None
     if me == 0:
-        kmat = hbar + reg * np.eye(n)
-        fac = _SymFactor(kmat, spd=True)
-        dx = _finite_solve(kmat, fac, rhs_x)
-        return dx, np.zeros(0)
-    kmat = np.zeros((n + me, n + me))
-    kmat[:n, :n] = hbar + reg * np.eye(n)
-    kmat[:n, n:] = a_eq.T
-    kmat[n:, :n] = a_eq
-    kmat[n:, n:] = -reg * np.eye(me)
-    fac = _SymFactor(kmat, spd=False)
-    rhs = np.concatenate([rhs_x, rhs_y])
-    sol = _finite_solve(kmat, fac, rhs)
+        chol, info = _POTRF(kmat, lower=1, clean=0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        if info == 0:
+            solve = partial(_cholesky_solve, chol)
+    if solve is None:
+        solve = _ldl_solver(kmat)
+    sol = solve(rhs)
+    if np.isfinite(sol).all():
+        sol = sol + solve(rhs - kmat @ sol)
+    else:
+        sol = np.linalg.lstsq(kmat, rhs, rcond=None)[0]
     return sol[:n], sol[n:]
 
 
 def _max_step(v, dv):
     """Step of 0.99 times the distance to the boundary v + alpha dv = 0."""
     neg = dv < 0
-    if not np.any(neg):
+    if not neg.any():
         return 1.0
-    return float(min(1.0, STEP_FRACTION * np.min(-v[neg] / dv[neg])))
+    return float(min(1.0, STEP_FRACTION * (-v[neg] / dv[neg]).min()))
 
 
 def _ipm(h, f, a_eq, b_eq, a_in, b_in, max_iter=MAX_ITER):
@@ -291,8 +296,8 @@ def _ipm(h, f, a_eq, b_eq, a_in, b_in, max_iter=MAX_ITER):
         dx, dy = _solve_kkt(hbar, a_eq, rhs_x, -re, reg)
         dz = (a_in @ dx - r3) / d
         ds = -ri - a_in @ dx
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(ds))
-                and np.all(np.isfinite(dz))):
+        if not (np.isfinite(dx).all() and np.isfinite(ds).all()
+                and np.isfinite(dz).all()):
             status = MAXITER
             break
         ap = _max_step(s, ds)

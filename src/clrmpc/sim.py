@@ -15,17 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model, mpc
-from .errors import MpcInfeasible
+from . import model, mpc, qpsolver
+from .errors import MpcInfeasible, SolverFailure
 from .utils import make_rng
 
 FIXED_DELTA = "fixed_delta"
 PER_STEP_DELTA = "per_step_delta"
 MODES = (FIXED_DELTA, PER_STEP_DELTA)
-
-# Applied pairs sit exactly on active tightened rows, so the raw
-# constraint residual is compared against a strictly positive slack.
-VIOLATION_TOL = 1e-7
 
 CSV_RUN_HEADER = "# closed loop run, toolkit csv format v1"
 CSV_SUMMARY_HEADER = "# batch summary, toolkit csv format v1"
@@ -41,7 +37,8 @@ class Trajectory:
     exactly replayable.  violations lists (step, row) pairs where the
     applied pair broke a stage constraint; it stays empty whenever the
     certificate's preconditions held.  infeasible_step marks a run cut
-    short by an infeasible online QP.
+    short by an infeasible online QP, failed_step one cut short by a
+    numerical failure of the solver.
     """
 
     states: np.ndarray
@@ -52,6 +49,7 @@ class Trajectory:
     mpc_values: np.ndarray
     violations: list = field(default_factory=list)
     infeasible_step: int = None
+    failed_step: int = None
 
     @property
     def cumulative_cost(self):
@@ -96,8 +94,9 @@ def run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=FIXED_DELTA,
     mode selects whether the uncertainty matrix is drawn once per run or
     redrawn every step; delta_schedule overrides both with a cyclic list
     of hull vertex indices, which is how adversarial runs are driven.
-    An infeasible online QP aborts the run: the partial trajectory is
-    attached to the raised error for post-mortem inspection.
+    An infeasible online QP or a solver failure aborts the run: the
+    partial trajectory is attached to the raised error for post-mortem
+    inspection.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of " + ", ".join(MODES))
@@ -106,18 +105,20 @@ def run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=FIXED_DELTA,
         raise ValueError("steps must be nonnegative")
     x = np.asarray(x0, dtype=float).ravel()
     f, g, b = _stage_rows(ctrl)
+    # the online QP accepts primal residuals up to this tolerance, so an
+    # accepted solve may overshoot its active rows by as much
+    violation_tol = qpsolver.ACCEPT_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
     supply = _delta_source(sys, rng, mode, delta_schedule)
 
     states = [x.copy()]
     inputs, dists, weights_log, costs, values = [], [], [], [], []
     violations = []
-    infeasible_step = None
     try:
         for k in range(steps):
             sol = mpc.solve_mpc(ctrl, x)
             u = sol.u
             residual = f @ x + g @ u - b
-            for row in np.flatnonzero(residual > VIOLATION_TOL):
+            for row in np.flatnonzero(residual > violation_tol):
                 violations.append((k, int(row)))
             w_k = model.sample_disturbance(w, rng)
             delta, weights = supply(k)
@@ -128,18 +129,20 @@ def run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=FIXED_DELTA,
             values.append(sol.value)
             x = sys.step(x, u, w_k, delta)
             states.append(x.copy())
-    except MpcInfeasible as err:
-        infeasible_step = len(inputs)
-        err.step = infeasible_step
-        err.trajectory = _pack(sys, states, inputs, dists, weights_log,
-                               costs, values, violations, infeasible_step)
+    except (MpcInfeasible, SolverFailure) as err:
+        err.step = len(inputs)
+        infeasible = isinstance(err, MpcInfeasible)
+        err.trajectory = _pack(
+            sys, states, inputs, dists, weights_log, costs, values,
+            violations, infeasible_step=err.step if infeasible else None,
+            failed_step=None if infeasible else err.step)
         raise
     return _pack(sys, states, inputs, dists, weights_log, costs, values,
-                 violations, infeasible_step)
+                 violations)
 
 
 def _pack(sys, states, inputs, dists, weights_log, costs, values,
-          violations, infeasible_step):
+          violations, infeasible_step=None, failed_step=None):
     n_steps = len(inputs)
     return Trajectory(
         states=np.asarray(states).reshape(n_steps + 1, sys.n_x),
@@ -151,6 +154,7 @@ def _pack(sys, states, inputs, dists, weights_log, costs, values,
         mpc_values=np.asarray(values, dtype=float),
         violations=violations,
         infeasible_step=infeasible_step,
+        failed_step=failed_step,
     )
 
 
@@ -172,7 +176,8 @@ def replay_states(sys, traj):
 
 def run_batch(ctrl, sys, w, x0, steps, runs, seed, mode=FIXED_DELTA,
               delta_schedule=None):
-    """Independent rollouts keyed by run index; infeasible runs are kept.
+    """Independent rollouts keyed by run index; runs cut short by an
+    infeasible QP or a solver failure are kept.
 
     Runs execute one after another in index order; each draws from its
     own generator stream, so any single run can be reproduced alone.
@@ -183,7 +188,7 @@ def run_batch(ctrl, sys, w, x0, steps, runs, seed, mode=FIXED_DELTA,
         try:
             out.append(run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=mode,
                                        delta_schedule=delta_schedule))
-        except MpcInfeasible as err:
+        except (MpcInfeasible, SolverFailure) as err:
             out.append(err.trajectory)
     return out
 
@@ -194,7 +199,8 @@ class BatchStats:
 
     env_min and env_max have one row per applied step and one column per
     state then input coordinate; rows beyond a truncated run's length do
-    not contribute to the extremes.
+    not contribute to the extremes.  failed_count counts the runs cut
+    short by a solver failure.
     """
 
     mean_cost: float
@@ -202,6 +208,7 @@ class BatchStats:
     env_max: np.ndarray
     infeasible_count: int
     violation_count: int
+    failed_count: int
     n_x: int
     n_u: int
 
@@ -227,6 +234,7 @@ def batch_stats(runs):
         env_max=env_max,
         infeasible_count=sum(r.infeasible_step is not None for r in runs),
         violation_count=sum(len(r.violations) for r in runs),
+        failed_count=sum(r.failed_step is not None for r in runs),
         n_x=n_x,
         n_u=n_u,
     )

@@ -173,7 +173,7 @@ def test_svg_envelope_without_known_bounds():
         mean_cost=1.0,
         env_min=np.array([[0.0, -0.5], [0.1, -0.4]]),
         env_max=np.array([[0.2, 0.5], [0.3, 0.6]]),
-        infeasible_count=0, violation_count=0, n_x=1, n_u=1)
+        infeasible_count=0, violation_count=0, failed_count=0, n_x=1, n_u=1)
     svg = cli.svg_envelope(stats, np.array([np.inf, np.inf]))
     assert svg.startswith("<svg")
     assert "stroke-dasharray" not in svg

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clrmpc import qpsolver
 from clrmpc.qpsolver import (
     INFEASIBLE,
     OPTIMAL,
@@ -98,6 +100,46 @@ def test_determinism():
     assert s1.status == s2.status
     assert np.array_equal(s1.x, s2.x)
     assert s1.objective == s2.objective
+
+
+def test_cholesky_kkt_solve_matches_scipy_wrappers():
+    # the direct LAPACK path must reproduce cho_factor / cho_solve plus one
+    # refinement pass bit for bit; sizes include 14, the plan-support LP's
+    rng = np.random.default_rng(11)
+    reg = qpsolver.REG
+    for n in range(1, 21):
+        a_in = rng.standard_normal((6 * n, n))
+        d = 10.0 ** rng.uniform(-3.0, 3.0, 6 * n)
+        hbar = (a_in / d[:, None]).T @ a_in
+        rhs = rng.standard_normal(n)
+        kmat = hbar + reg * np.eye(n)
+        fac = sla.cho_factor(kmat, lower=True, check_finite=False)
+        sol = sla.cho_solve(fac, rhs, check_finite=False)
+        ref = sol + sla.cho_solve(fac, rhs - kmat @ sol, check_finite=False)
+        dx, dy = qpsolver._solve_kkt(hbar, np.zeros((0, n)), rhs, np.zeros(0), reg)
+        assert np.array_equal(dx, ref), f"n = {n}"
+        assert dy.shape == (0,)
+
+
+def test_indefinite_kkt_falls_back_to_ldl(monkeypatch):
+    real_ldl = qpsolver.sla.ldl
+    calls = []
+
+    def counting_ldl(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_ldl(*args, **kwargs)
+
+    monkeypatch.setattr(qpsolver.sla, "ldl", counting_ldl)
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    hbar = q @ np.diag([3.0, -2.0, 1.5, -1.0, 2.5, 1.0, -3.0, 2.0]) @ q.T
+    hbar = 0.5 * (hbar + hbar.T)
+    rhs = rng.standard_normal(8)
+    reg = qpsolver.REG
+    dx, _ = qpsolver._solve_kkt(hbar, np.zeros((0, 8)), rhs, np.zeros(0), reg)
+    assert calls == [(8, 8)]
+    residual = (hbar + reg * np.eye(8)) @ dx - rhs
+    assert np.abs(residual).max() <= 1e-10 * np.abs(rhs).max()
 
 
 def _kkt_oracle(h, f, a, b):

@@ -4,8 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from clrmpc import sim
-from clrmpc.errors import MpcInfeasible
+from clrmpc import mpc, qpsolver, sim
+from clrmpc.errors import MpcInfeasible, SolverFailure
 from clrmpc.utils import make_rng
 
 X0 = np.array([1.9, 0.5, -1.7, 1.7])
@@ -101,6 +101,61 @@ def test_run_batch_reproducible_by_index(scalar_uncertain_controller):
     solo = sim.run_closed_loop(ctrl, sys, w, [0.5], 8,
                                make_rng(11, stream=2))
     assert np.array_equal(solo.states, runs[2].states)
+
+
+def test_violation_threshold_follows_solver_tolerance(
+        scalar_certain_controller, monkeypatch):
+    # an accepted online QP may overshoot a row by ACCEPT_TOL (1 + max|b|)
+    ctrl, sys, w, c = scalar_certain_controller
+    f, g, b = sim._stage_rows(ctrl)
+    assert (f[2, 0], g[2, 0]) == (0.0, 1.0)  # row 2 is u <= b[2]
+    tol = qpsolver.ACCEPT_TOL * (1.0 + np.abs(b).max())
+    assert tol > 1e-7
+    for over, expected in ((0.5 * (1e-7 + tol), []), (2.0 * tol, [(0, 2)])):
+        u = np.array([b[2] + over])
+        monkeypatch.setattr(mpc, "solve_mpc", lambda ctrl_, x: mpc.MpcSolution(
+            u=u, value=0.0, status=qpsolver.OPTIMAL, states=None, inputs=None))
+        traj = sim.run_closed_loop(ctrl, sys, w, [0.0], 1, make_rng(0))
+        assert traj.violations == expected
+
+
+def test_solver_failure_is_recorded_and_batch_continues(
+        scalar_uncertain_controller, monkeypatch):
+    ctrl, sys, w, c = scalar_uncertain_controller
+    steps, n_runs, bad_run, bad_step = 8, 4, 1, 5
+    clean = sim.run_batch(ctrl, sys, w, [0.5], steps, n_runs, seed=16)
+    assert all(r.inputs.shape[0] == steps for r in clean)
+    real_solve = mpc.solve_mpc
+    calls = []
+
+    def flaky(ctrl_, x):
+        calls.append(1)
+        if len(calls) == bad_run * steps + bad_step + 1:
+            raise SolverFailure("online QP ended with status maxiter")
+        return real_solve(ctrl_, x)
+
+    monkeypatch.setattr(mpc, "solve_mpc", flaky)
+    runs = sim.run_batch(ctrl, sys, w, [0.5], steps, n_runs, seed=16)
+    assert len(runs) == n_runs
+    failed = runs[bad_run]
+    assert failed.failed_step == bad_step
+    assert failed.infeasible_step is None
+    assert failed.inputs.shape[0] == bad_step
+    assert np.array_equal(failed.states, clean[bad_run].states[:bad_step + 1])
+    fields = ("states", "inputs", "disturbances", "delta_weights",
+              "stage_costs", "mpc_values")
+    for i in range(n_runs):
+        if i == bad_run:
+            continue
+        for name in fields:
+            assert getattr(runs[i], name).tobytes() == \
+                getattr(clean[i], name).tobytes(), (i, name)
+        assert runs[i].violations == clean[i].violations
+        assert runs[i].failed_step is None
+    stats = sim.batch_stats(runs)
+    assert stats.failed_count == 1
+    assert stats.infeasible_count == 0
+    assert sim.batch_stats(clean).failed_count == 0
 
 
 def test_batch_stats_single_run_envelope(scalar_uncertain_controller):
