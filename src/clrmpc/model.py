@@ -119,6 +119,33 @@ class Polytope:
         return bool(np.all(self.h @ x <= self.b + tol * scale))
 
     @cached_property
+    def box_bounds(self):
+        """Per-coordinate (lo, hi) when every row of h touches a single
+        coordinate and the rows bound every coordinate, else None.
+
+        Kept on the instance like bounding_box; the arrays are read-only.
+        """
+        if self.h.shape[0] == 0:
+            return None
+        lo = np.full(self.dim, -np.inf)
+        hi = np.full(self.dim, np.inf)
+        for r in range(self.h.shape[0]):
+            nz = np.nonzero(self.h[r])[0]
+            if len(nz) != 1:
+                return None
+            i = nz[0]
+            coef = self.h[r, i]
+            if coef > 0:
+                hi[i] = min(hi[i], self.b[r] / coef)
+            else:
+                lo[i] = max(lo[i], self.b[r] / coef)
+        if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)) or np.any(lo > hi):
+            return None
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        return lo, hi
+
+    @cached_property
     def bounding_box(self):
         """Per-coordinate (lo, hi) bounds, from 2 * dim LPs on first use.
 
@@ -288,35 +315,13 @@ def sample_delta(sys, rng):
     return delta, weights
 
 
-def _box_bounds(w):
-    """Per-coordinate bounds when every row of h touches a single coordinate."""
-    h, b = w.h, w.b
-    if h.shape[0] == 0:
-        return None
-    lo = np.full(w.dim, -np.inf)
-    hi = np.full(w.dim, np.inf)
-    for r in range(h.shape[0]):
-        nz = np.nonzero(h[r])[0]
-        if len(nz) != 1:
-            return None
-        i = nz[0]
-        coef = h[r, i]
-        if coef > 0:
-            hi[i] = min(hi[i], b[r] / coef)
-        else:
-            lo[i] = max(lo[i], b[r] / coef)
-    if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)) or np.any(lo > hi):
-        return None
-    return lo, hi
-
-
 def sample_disturbance(w, rng):
     """Uniform draw from the disturbance polytope.
 
     Axis-aligned boxes (the common case) sample each coordinate directly;
     anything else goes through rejection from the bounding box.
     """
-    box = _box_bounds(w)
+    box = w.box_bounds
     if box is not None:
         lo, hi = box
         return rng.uniform(lo, hi)

@@ -277,7 +277,7 @@ def _ipm(h, f, a_eq, b_eq, a_in, b_in, max_iter=MAX_ITER):
                 status = MAXITER
                 break
 
-        d = np.clip(s / z, 1e-16, 1e16)
+        d = np.minimum(np.maximum(s / z, 1e-16), 1e16)
         gd = a_in / d[:, None]
         hbar = h + gd.T @ a_in
 

@@ -115,7 +115,7 @@ class Certificate:
 
 def _w_support(w, d):
     """Support value and a maximizer of direction d over the polytope w."""
-    box = model._box_bounds(w)
+    box = w.box_bounds
     if box is not None:
         lo, hi = box
         point = np.where(d > 0, hi, np.where(d < 0, lo, 0.5 * (lo + hi)))
@@ -131,7 +131,7 @@ def _w_support_dual(w, d):
     lam = np.zeros(w.h.shape[0])
     if np.abs(d).max(initial=0.0) < 1e-14:
         return lam
-    box = model._box_bounds(w)
+    box = w.box_bounds
     if box is not None:
         # every row touches one coordinate; route d through the binding rows
         for i in range(w.dim):
@@ -153,20 +153,29 @@ def _w_support_dual(w, d):
     return np.maximum(sol.x, 0.0)
 
 
-def _plan_support(a_lp, bt, d):
+def _plan_support(a_lp, bt, d, memo):
     """Support of direction d over the tightened plan polytope.
 
     Returns (value, maximizer, row duals); the duals are the Farkas
-    weights with a_lp' duals = d.
+    weights with a_lp' duals = d.  memo maps d.tobytes() to the result
+    of an earlier call with the same a_lp and bt; the solver is
+    deterministic, so a stored result is exactly what a new solve would
+    return.  Its arrays are read-only because later calls share them.
     """
     if np.abs(d).max(initial=0.0) < 1e-14:
         return 0.0, np.zeros(a_lp.shape[1]), np.zeros(a_lp.shape[0])
+    key = d.tobytes()
+    if key in memo:
+        return memo[key]
     sol = qpsolver.linear_program(-d, a_in=a_lp, b_in=bt)
     if sol.status == qpsolver.UNBOUNDED:
         raise SolverFailure("plan polytope unbounded along a containment direction")
     if sol.status != qpsolver.OPTIMAL:
         raise SolverFailure(f"plan support LP ended {sol.status}")
-    return -sol.objective, sol.x, sol.in_duals
+    sol.x.flags.writeable = False
+    sol.in_duals.flags.writeable = False
+    memo[key] = -sol.objective, sol.x, sol.in_duals
+    return memo[key]
 
 
 @dataclass
@@ -203,6 +212,12 @@ def _unpack_gains(vec, n, n_x, n_u):
     )
 
 
+def _successor_rows(bundle, sys, vertex, gains):
+    """Row directions of the successor constraints over (plan, disturbance)."""
+    c_k, c_m = prediction.build_gain_matrices(bundle, gains, sys, vertex)
+    return bundle.h_xu @ np.hstack([c_k, c_m])
+
+
 def _cut_coeffs(maps, term, sys, bundle, r, y_s, y_w):
     """Row-r successor support at plan point (y_s, y_w) as affine(gains)."""
     tau = term @ y_s
@@ -217,15 +232,14 @@ def _cut_coeffs(maps, term, sys, bundle, r, y_s, y_w):
     return coef, const
 
 
-def _separate(bundle, sys, w, a_lp, bt, vertex, gains):
+def _separate(bundle, sys, w, a_lp, bt, vertex, gains, memo):
     """Exact row slacks of the containment at the given gains."""
-    c_k, c_m = prediction.build_gain_matrices(bundle, gains, sys, vertex)
-    rhs = bundle.h_xu @ np.hstack([c_k, c_m])
+    rhs = _successor_rows(bundle, sys, vertex, gains)
     n_s = bundle.n_s
     sigmas = np.empty(bundle.n_t)
     points = []
     for r in range(bundle.n_t):
-        v_s, y_s, _ = _plan_support(a_lp, bt, rhs[r, :n_s])
+        v_s, y_s, _ = _plan_support(a_lp, bt, rhs[r, :n_s], memo)
         v_w, y_w = _w_support(w, rhs[r, n_s:])
         sigmas[r] = v_s + v_w - bt[r]
         points.append((y_s, y_w))
@@ -252,35 +266,38 @@ def _solve_master(cuts, bt_min, g_center):
     return sol.x[:n_g], float(sol.x[n_g])
 
 
-def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target):
-    """Cutting-plane gain search plus dual recovery for one vertex."""
+def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target, memo):
+    """Cutting-plane gain search plus dual recovery for one vertex.
+
+    Pool entries are (row, y_s, y_w, coef, const): a plan point and its
+    cut, affine in the gains.  The cut depends on the vertex and the
+    point only, so entries carried over from an earlier step keep it.
+    """
     maps = _vertex_maps(bundle, sys, vertex)
     term = bundle.term_rows()
     n_t = bundle.n_t
 
     entries = {}
-    for key, (r, y_s, y_w) in (pool or {}).items():
+    for key, entry in (pool or {}).items():
         # stale plan points outside the new tightened set give invalid cuts
-        if (a_lp @ y_s - bt).max() <= CUT_FEAS_TOL:
-            entries[key] = (r, y_s, y_w)
+        if (a_lp @ entry[1] - bt).max() <= CUT_FEAS_TOL:
+            entries[key] = entry
 
     def add_point(r, y_s, y_w):
         if max(np.abs(y_s).max(initial=0.0), np.abs(y_w).max(initial=0.0)) < 1e-14:
             return
         key = (r, y_s.tobytes(), y_w.tobytes())
         if key not in entries:
-            entries[key] = (r, y_s.copy(), y_w.copy())
+            coef, const = _cut_coeffs(maps, term, sys, bundle, r, y_s, y_w)
+            entries[key] = (r, y_s.copy(), y_w.copy(), coef, const)
 
     def cuts_for(bt_vec):
-        out = []
-        for r, y_s, y_w in entries.values():
-            coef, const = _cut_coeffs(maps, term, sys, bundle, r, y_s, y_w)
-            out.append((coef, bt_vec[r] - const))
-        return out
+        return [(coef, bt_vec[r] - const) for r, _, _, coef, const in entries.values()]
 
     g_best = _pack_gains(warm)
     sigmas, points = _separate(bundle, sys, w, a_lp, bt, vertex,
-                               _unpack_gains(g_best, bundle.n, bundle.n_x, bundle.n_u))
+                               _unpack_gains(g_best, bundle.n, bundle.n_x, bundle.n_u),
+                               memo)
     sigma_best = float(sigmas.max())
     for r in range(n_t):
         add_point(r, *points[r])
@@ -290,7 +307,8 @@ def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target):
     while not (target is not None and sigma_best <= target) and rounds < MAX_ROUNDS:
         g_new, sigma_pred = _solve_master(cuts_for(bt), float(bt.min()), g_best)
         sigmas, points = _separate(bundle, sys, w, a_lp, bt, vertex,
-                                   _unpack_gains(g_new, bundle.n, bundle.n_x, bundle.n_u))
+                                   _unpack_gains(g_new, bundle.n, bundle.n_x, bundle.n_u),
+                                   memo)
         sigma_new = float(sigmas.max())
         for r in range(n_t):
             if sigmas[r] > sigma_pred + 1e-10:
@@ -306,15 +324,15 @@ def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target):
         if stall >= STALL_LIMIT:
             break
 
+    # the separation at g_best solved these rows already; memo hits
     gains = _unpack_gains(g_best, bundle.n, bundle.n_x, bundle.n_u)
-    c_k, c_m = prediction.build_gain_matrices(bundle, gains, sys, vertex)
-    rhs = bundle.h_xu @ np.hstack([c_k, c_m])
+    rhs = _successor_rows(bundle, sys, vertex, gains)
     n_s = bundle.n_s
     lam = np.zeros((n_t, n_t + w.h.shape[0]))
     sigma_fin = -np.inf
     for r in range(n_t):
         d_s, d_w = rhs[r, :n_s], rhs[r, n_s:]
-        v_s, _, duals = _plan_support(a_lp, bt, d_s)
+        v_s, _, duals = _plan_support(a_lp, bt, d_s, memo)
         lam_w = _w_support_dual(w, d_w)
         lam[r, :n_t] = duals
         lam[r, n_t:] = lam_w
@@ -373,7 +391,9 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
 
     Returns the per-vertex gains, the recovered multipliers, and the
     worst containment slack sigma over all vertices; sigma <= 0 means
-    the tightened set is recursively feasible as it stands.
+    the tightened set is recursively feasible as it stands.  Every
+    plan-support LP of the step shares a_lp and bt, so one memo keyed by
+    the direction serves all rounds and vertices and ends with the call.
     """
     t_fixed = np.asarray(t_fixed, dtype=float).ravel()
     bt = bundle.b_stack - t_fixed
@@ -387,8 +407,9 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
     if pools is None:
         pools = [None] * n_delta
 
+    memo = {}
     results = [_vertex_multiplier(bundle, sys, w, a_lp, bt, j, warm_gains[j],
-                                  pools[j], target)
+                                  pools[j], target, memo)
                for j in range(n_delta)]
     gains = [r[0] for r in results]
     multipliers = [r[1] for r in results]
@@ -486,8 +507,7 @@ def _consistency_residuals(bundle, sys, w, t, gains, multipliers):
     eq_res = 0.0
     in_res = 0.0
     for j, (g, lam) in enumerate(zip(gains, multipliers)):
-        c_k, c_m = prediction.build_gain_matrices(bundle, g, sys, j)
-        rhs = bundle.h_xu @ np.hstack([c_k, c_m])
+        rhs = _successor_rows(bundle, sys, j, g)
         lhs = np.hstack([lam[:, :bundle.n_t] @ a_lp, lam[:, bundle.n_t:] @ w.h])
         eq_res = max(eq_res, float(np.abs(lhs - rhs).max()))
         in_res = max(in_res, float((lam @ stacked - bt).max()))

@@ -2,6 +2,11 @@ import os
 import sys
 import time
 
+# One BLAS thread, as in the benchmark: a threaded product sums in another
+# order and moves the msd certificate in its last digits.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))

@@ -139,6 +139,20 @@ def test_sample_disturbance_box():
     assert draws[:, 0].max() > 0.8 and draws[:, 0].min() < -0.3
 
 
+def test_box_bounds_box_and_non_box():
+    w = model.Polytope(h=np.vstack([np.eye(2), -np.eye(2), [[2.0, 0.0]]]),
+                       b=np.array([1.0, 2.0, 0.5, 2.0, 1.0]))
+    lo, hi = w.box_bounds
+    assert np.array_equal(lo, [-0.5, -2.0]) and np.array_equal(hi, [0.5, 2.0])
+    assert w.box_bounds is w.box_bounds
+    assert not lo.flags.writeable
+    cut = model.Polytope(h=np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]]),
+                         b=np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
+    assert cut.box_bounds is None
+    half = model.Polytope(h=[[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], b=[1.0, 1.0, 1.0])
+    assert half.box_bounds is None
+
+
 def test_sample_disturbance_degenerate_origin():
     w = model.Polytope(h=np.vstack([np.eye(2), -np.eye(2)]), b=np.zeros(4))
     rng = make_rng(14)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,36 @@ def test_multiplier_step_vertex_order_invariant():
     assert np.allclose(step.sigmas, step2.sigmas[::-1], atol=1e-8)
 
 
+def test_multiplier_step_solves_each_plan_lp_once(monkeypatch):
+    sys, w, c, cfg, ts, bundle = scalar_setup(with_delta=True)
+    t0 = synthesis.initial_guess(bundle, sys, w, cfg, k_y=ts.k_y)
+    a_lp = bundle.h_xu @ bundle.s_mat
+    real_lp = qpsolver.linear_program
+    # a second step at another tightening must not see the first one's LPs
+    for t in (t0, 0.5 * t0):
+        solved = []
+
+        def recording_lp(f, **kwargs):
+            solved.append((kwargs["b_in"].tobytes(), np.asarray(f).tobytes()))
+            return real_lp(f, **kwargs)
+
+        monkeypatch.setattr(qpsolver, "linear_program", recording_lp)
+        step = synthesis.solve_multiplier_step(bundle, sys, w, t)
+        monkeypatch.undo()
+        assert solved and len(set(solved)) == len(solved)
+
+        # the reused duals are exactly those of a fresh solve at the final gains
+        bt = bundle.b_stack - t
+        for j, (g, lam) in enumerate(zip(step.gains, step.multipliers)):
+            rhs = synthesis._successor_rows(bundle, sys, j, g)
+            ref = np.zeros_like(lam)
+            for r in range(bundle.n_t):
+                ref[r, :bundle.n_t] = synthesis._plan_support(
+                    a_lp, bt, rhs[r, :bundle.n_s], {})[2]
+                ref[r, bundle.n_t:] = synthesis._w_support_dual(w, rhs[r, bundle.n_s:])
+            assert np.array_equal(lam, ref)
+
+
 def test_cut_model_matches_gain_matrices():
     # the affine cut decomposition must agree with the prediction route
     sys_m, w_m, c_m = model.build_msd()
@@ -338,6 +370,13 @@ def test_certificate_roundtrip(msd_certificate):
     for l1, l2 in zip(back.multipliers, cert.multipliers):
         assert np.array_equal(l1, l2)
     assert back.alpha == cert.alpha and back.objective == cert.objective
+
+
+def test_msd_certificate_matches_committed_text(msd_certificate):
+    # the benchmark's fixed certificate is the default synthesis, byte for byte
+    cert = msd_certificate[4]
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "msd_certificate.txt"
+    assert synthesis.write_certificate(cert) == committed.read_text()
 
 
 def test_certificate_rejects_stale_fingerprint(msd_certificate):
