@@ -16,7 +16,6 @@ Artifact layout inside the output directory:
 """
 
 import argparse
-import ast
 import sys
 import time
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model, mpc, sim, synthesis, verify
-from .utils import make_rng
+from .utils import make_rng, parse_value, read_keyed, write_keyed
 from .errors import (
     FingerprintMismatch,
     Infeasible,
@@ -46,7 +45,7 @@ BUILTIN_X0 = {"msd": np.array([1.9, 0.5, -1.7, 1.7])}
 
 STATS_HEADER = "# simulation stats, toolkit text format v1"
 STATS_KEYS = ["realizations", "steps", "seed", "mode", "mean_cost",
-              "violation_count", "infeasible_count"]
+              "violation_count", "infeasible_count", "failed_count"]
 
 REFERENCE_NUMBERS = {
     "offline seconds": 45.1,
@@ -73,7 +72,7 @@ def _load_certificate(path, sys_m, w_m, c_m):
 def _matrix_arg(text):
     if text is None:
         return None
-    return np.asarray(ast.literal_eval(text), dtype=float)
+    return np.asarray(parse_value(text), dtype=float)
 
 
 def cmd_synth(args):
@@ -202,7 +201,7 @@ def svg_envelope(stats, bounds):
 
 
 def _write_stats(path, args, stats):
-    vals = {
+    path.write_text(write_keyed(STATS_HEADER, {
         "realizations": args.realizations,
         "steps": args.steps,
         "seed": args.seed,
@@ -210,18 +209,12 @@ def _write_stats(path, args, stats):
         "mean_cost": stats.mean_cost,
         "violation_count": stats.violation_count,
         "infeasible_count": stats.infeasible_count,
-    }
-    lines = [STATS_HEADER]
-    for key in STATS_KEYS:
-        lines.append(key + " = " + synthesis._format_cert_value(vals[key]))
-    path.write_text("\n".join(lines) + "\n")
+        "failed_count": stats.failed_count,
+    }))
 
 
 def read_stats(text):
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != STATS_HEADER:
-        raise ModelFormatError("unrecognized stats header")
-    return model.parse_keyed(text, STATS_KEYS, "stats")
+    return read_keyed(text, STATS_HEADER, STATS_KEYS, "stats")
 
 
 def cmd_simulate(args):
@@ -235,7 +228,7 @@ def cmd_simulate(args):
             print("certificate fails the multiplier re-check", file=sys.stderr)
             return EXIT_INVALID
     if args.x0 is not None:
-        x0 = np.asarray(ast.literal_eval(args.x0), dtype=float)
+        x0 = np.asarray(parse_value(args.x0), dtype=float)
     elif args.builtin in BUILTIN_X0:
         x0 = BUILTIN_X0[args.builtin]
     else:
@@ -324,6 +317,7 @@ def cmd_report(args):
         f"- mean_cost = {stats['mean_cost']!r}",
         f"- violation_count = {stats['violation_count']}",
         f"- infeasible_count = {stats['infeasible_count']}",
+        f"- failed_count = {stats['failed_count']}",
         "",
         "## timing (reference-only comparison)",
         f"- offline: {offline!r} s "

@@ -6,12 +6,11 @@ The plant model is
     p = delta q,   delta in convex hull of the listed vertices,
     w in the polytope {h_w w <= b_w},   (x, u) in {f x + g u <= b}.
 
-A model can round-trip through a plain text file: `key = value` lines with
-nested bracket literals for matrices.  The reader accepts exactly the keys
-written by the writer and nothing else.
+A model round-trips through the artifact text format of utils: a header
+line, then `key = value` lines with nested bracket arrays for matrices.
+The reader accepts exactly the header and keys the writer writes.
 """
 
-import ast
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,8 +18,9 @@ import numpy as np
 
 from . import qpsolver
 from .errors import DimensionMismatch, EmptyPolytope, ModelFormatError
-from .utils import fmt, sha256_hex
+from .utils import read_keyed, sha256_hex, write_keyed
 
+MODEL_HEADER = "# uncertain system model, toolkit text format v1"
 MODEL_KEYS = [
     "n_x", "n_u", "n_p", "n_w",
     "A", "B", "B_p", "B_w", "D_x", "D_u", "D_w",
@@ -334,86 +334,21 @@ def sample_disturbance(w, rng):
     raise RuntimeError("rejection sampling failed; polytope volume too small")
 
 
-def _format_value(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1:
-            return "[" + ", ".join(fmt(v) for v in value) + "]"
-        rows = ["[" + ", ".join(fmt(v) for v in row) + "]" for row in value]
-        return "[" + ",\n     ".join(rows) + "]"
-    if isinstance(value, list):  # list of matrices
-        return "[" + ",\n    ".join(_format_value(np.asarray(v)) for v in value) + "]"
-    raise TypeError(f"cannot format {type(value)}")
-
-
 def write_model_text(sys, w, c):
     """Serialize a model triple to the text format accepted by read_model_text."""
-    fields = {
+    return write_keyed(MODEL_HEADER, {
         "n_x": sys.n_x, "n_u": sys.n_u, "n_p": sys.n_p, "n_w": sys.n_w,
         "A": sys.a, "B": sys.b, "B_p": sys.b_p, "B_w": sys.b_w,
         "D_x": sys.d_x, "D_u": sys.d_u, "D_w": sys.d_w,
         "deltas": sys.deltas, "H_w": w.h, "h_w": w.b,
         "F": c.f, "G": c.g, "b": c.b,
-    }
-    lines = ["# uncertain system model, toolkit text format v1"]
-    for key in MODEL_KEYS:
-        lines.append(f"{key} = {_format_value(fields[key])}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_keyed(text, keys, what):
-    """Scan `key = value` text into a dict of Python literals.
-
-    Models, certificates, verification reports and simulation stats all
-    use this format.  A value runs on across lines until its brackets
-    balance, so a stray `]` ends it early and fails as a bad literal.
-    Blank lines and `#` comments are skipped.  Every key must be one of
-    keys and appear exactly once.  The bracket depth is kept per line, so
-    a value of many lines is read in time linear in its length.
-    """
-    entries = {}
-    pending_key = None
-    pending = []
-    depth = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if pending_key is None:
-            if "=" not in line:
-                raise ModelFormatError(
-                    f"{what} line {lineno}: expected 'key = value'")
-            key, line = line.split("=", 1)
-            key, line = key.strip(), line.strip()
-            if key not in keys:
-                raise ModelFormatError(f"{what} line {lineno}: unknown key {key!r}")
-            if key in entries:
-                raise ModelFormatError(
-                    f"{what} line {lineno}: duplicate key {key!r}")
-            pending_key = key
-        pending.append(line)
-        depth += line.count("[") - line.count("]")
-        if depth <= 0:
-            try:
-                entries[pending_key] = ast.literal_eval(" ".join(pending))
-            except (ValueError, SyntaxError) as exc:
-                raise ModelFormatError(
-                    f"{what}: bad literal for key {pending_key!r}") from exc
-            pending_key = None
-            pending = []
-            depth = 0
-    if pending_key is not None:
-        raise ModelFormatError(f"{what}: unterminated value for key {pending_key!r}")
-    missing = [k for k in keys if k not in entries]
-    if missing:
-        raise ModelFormatError(f"{what}: missing keys {', '.join(missing)}")
-    return entries
+    })
 
 
 def read_model_text(text):
-    """Parse the key-value model format; rejects unknown or missing keys."""
-    entries = parse_keyed(text, MODEL_KEYS, "model")
+    """Parse the model text format; rejects a missing header and unknown or
+    missing keys."""
+    entries = read_keyed(text, MODEL_HEADER, MODEL_KEYS, "model")
     dims = {k: int(entries[k]) for k in ("n_x", "n_u", "n_p", "n_w")}
     try:
         sys = UncertainSystem(

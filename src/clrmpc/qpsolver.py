@@ -201,7 +201,7 @@ def _max_step(v, dv):
     return float(min(1.0, STEP_FRACTION * (-v[neg] / dv[neg]).min()))
 
 
-def _ipm(h, f, a_eq, b_eq, a_in, b_in, max_iter=MAX_ITER):
+def _ipm(h, f, a_eq, b_eq, a_in, b_in):
     """Core iteration. Returns (x, y, z, status, iters, residual_triplet)."""
     n = f.shape[0]
     me = a_eq.shape[0]
@@ -243,7 +243,7 @@ def _ipm(h, f, a_eq, b_eq, a_in, b_in, max_iter=MAX_ITER):
     it = 0
     mu_hist = []
     res = (np.inf, np.inf, np.inf)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rd = h @ x + f + a_in.T @ z + (a_eq.T @ y if me else 0.0)
         re = a_eq @ x - b_eq if me else np.zeros(0)
         ri = a_in @ x + s - b_in
@@ -313,7 +313,7 @@ def _ipm(h, f, a_eq, b_eq, a_in, b_in, max_iter=MAX_ITER):
             y = y + ad * dy
 
     else:
-        it = max_iter
+        it = MAX_ITER
 
     if status != OPTIMAL:
         # accept a stalled point that still meets the contract tolerance
@@ -385,33 +385,16 @@ def _crossover(prob, x, y, z):
     return xp, yp, np.maximum(zp, 0.0), (rd, max(re, max(ri, 0.0)), 0.0)
 
 
-def solve_qp(prob, max_iter=MAX_ITER, diagnose=True, polish=True):
-    """Solve a QpProblem; statuses: optimal, infeasible, unbounded, maxiter.
-
-    On optimal the KKT conditions hold to 1e-7 scaled by (1 + data norms).
-    Infeasibility and unboundedness are certified by auxiliary LPs rather
-    than guessed from divergence.  With polish the interior solution is
-    snapped to the exact solution of its active-set KKT system whenever
-    that system checks out, removing the interior-point gap floor.
-    """
+def _interior_solve(prob):
+    """Interior point, then crossover to the exact solution of the active
+    set's KKT system when it checks out; a non-optimal end is not diagnosed."""
     x, y, z, status, it, res = _ipm(
-        prob.h, prob.f, prob.a_eq, prob.b_eq, prob.a_in, prob.b_in, max_iter
-    )
-
-    if status in (OPTIMAL, MAXITER) and polish:
-        # a complete KKT certificate also rescues stalled-but-close points
-        polished = _crossover(prob, x, y, z)
-        if polished is not None:
-            x, y, z, res = polished
-            status = OPTIMAL
-
-    if status != OPTIMAL and diagnose:
-        feasible, slack, _ = _phase1(prob.a_in, prob.b_in, prob.a_eq, prob.b_eq)
-        if not feasible:
-            status = INFEASIBLE
-        elif float(np.abs(prob.h).max(initial=0.0)) == 0.0 and _has_ray(prob):
-            status = UNBOUNDED
-
+        prob.h, prob.f, prob.a_eq, prob.b_eq, prob.a_in, prob.b_in)
+    # a complete KKT certificate also rescues stalled-but-close points
+    polished = _crossover(prob, x, y, z)
+    if polished is not None:
+        x, y, z, res = polished
+        status = OPTIMAL
     obj = 0.5 * float(x @ (prob.h @ x)) + float(prob.f @ x)
     return QpSolution(
         x=x,
@@ -424,12 +407,29 @@ def solve_qp(prob, max_iter=MAX_ITER, diagnose=True, polish=True):
     )
 
 
-def linear_program(f, a_in=None, b_in=None, a_eq=None, b_eq=None, max_iter=MAX_ITER, diagnose=True):
+def solve_qp(prob):
+    """Solve a QpProblem; statuses: optimal, infeasible, unbounded, maxiter.
+
+    On optimal the KKT conditions hold to 1e-7 scaled by (1 + data norms).
+    Infeasibility and unboundedness are certified by auxiliary LPs rather
+    than guessed from divergence.
+    """
+    sol = _interior_solve(prob)
+    if sol.status != OPTIMAL:
+        feasible, _, _ = _phase1(prob.a_in, prob.b_in, prob.a_eq, prob.b_eq)
+        if not feasible:
+            sol.status = INFEASIBLE
+        elif float(np.abs(prob.h).max(initial=0.0)) == 0.0 and _has_ray(prob):
+            sol.status = UNBOUNDED
+    return sol
+
+
+def linear_program(f, a_in=None, b_in=None, a_eq=None, b_eq=None):
     """LP front end: min f' x subject to the supplied constraint blocks."""
     f = np.asarray(f, dtype=float).ravel()
     n = f.shape[0]
-    prob = QpProblem(h=np.zeros((n, n)), f=f, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in)
-    return solve_qp(prob, max_iter=max_iter, diagnose=diagnose)
+    return solve_qp(QpProblem(h=np.zeros((n, n)), f=f, a_eq=a_eq, b_eq=b_eq,
+                              a_in=a_in, b_in=b_in))
 
 
 def _phase1(a_in, b_in, a_eq, b_eq):
@@ -453,7 +453,7 @@ def _phase1(a_in, b_in, a_eq, b_eq):
     aeq = np.hstack([a_eq, np.zeros((me, 1))]) if me else None
     x, yy, zz, status, it, res = _ipm(
         np.zeros((n + 1, n + 1)), f, aeq if aeq is not None else _empty(n + 1),
-        b_eq if me else np.zeros(0), g, hvec, MAX_ITER
+        b_eq if me else np.zeros(0), g, hvec
     )
     if status != OPTIMAL:
         raise SolverFailure("phase-1 slack minimization stalled")
@@ -470,8 +470,9 @@ def _has_ray(prob):
     g = np.vstack([prob.a_in, np.eye(n), -np.eye(n)])
     hvec = np.concatenate([np.zeros(mi), np.ones(2 * n)])
     aeq = prob.a_eq if me else None
-    sol = linear_program(prob.f, a_in=g, b_in=hvec, a_eq=aeq,
-                         b_eq=prob.b_eq * 0.0 if me else None, diagnose=False)
+    sol = _interior_solve(QpProblem(h=np.zeros((n, n)), f=prob.f, a_in=g,
+                                    b_in=hvec, a_eq=aeq,
+                                    b_eq=prob.b_eq * 0.0 if me else None))
     scale = 1.0 + float(np.abs(prob.f).max(initial=0.0))
     return sol.status == OPTIMAL and sol.objective < -1e-8 * scale
 

@@ -272,12 +272,13 @@ def trajectory_csv(traj):
 def batch_summary_csv(runs):
     """One row per run: length, cumulative cost, violation and abort info."""
     columns = ["run", "steps", "cumulative_cost", "violations",
-               "infeasible_step"]
+               "infeasible_step", "failed_step"]
     rows = []
     for i, r in enumerate(runs):
         rows.append([i, r.inputs.shape[0], repr(r.cumulative_cost),
                      len(r.violations),
-                     "" if r.infeasible_step is None else r.infeasible_step])
+                     "" if r.infeasible_step is None else r.infeasible_step,
+                     "" if r.failed_step is None else r.failed_step])
     return _csv_text(CSV_SUMMARY_HEADER, columns, rows)
 
 

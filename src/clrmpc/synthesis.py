@@ -24,7 +24,7 @@ computed under the terminal feedback, scaled up until the multiplier
 step certifies it, and never accepts an objective increase.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
     NoProgress,
     SolverFailure,
 )
-from .linalg import solve_dare
+from .utils import read_keyed, write_keyed
 
 SIGMA_GATE = 1e-7
 ALPHA_MIN = 1e-9
@@ -91,7 +91,6 @@ class MultiplierStep:
 @dataclass
 class TighteningStep:
     tightenings: np.ndarray
-    gains: list
     alpha: float
     objective: float
 
@@ -346,7 +345,7 @@ def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target, mem
     return gains, lam, float(sigma_fin), entries, eq_res
 
 
-def initial_guess(bundle, sys, w, cfg, k_y=None):
+def initial_guess(bundle, sys, w, cfg, k_y):
     """Additive-disturbance tightening under the terminal feedback.
 
     Stage block i accumulates the worst-case effect of i past
@@ -357,10 +356,6 @@ def initial_guess(bundle, sys, w, cfg, k_y=None):
     block 0 stays zero.
     """
     n, n_x, n_u, n_c = bundle.n, bundle.n_x, bundle.n_u, bundle.n_c
-    if k_y is None:
-        q_x, q_u = cfg.weights(sys)
-        _, gain = solve_dare(sys.a, sys.b, q_x, q_u)
-        k_y = -gain
     a_k = sys.a + sys.b @ k_y
     fgk = bundle.h_xu[:n_c, :n_x] + bundle.h_xu[:n_c, (n + 1) * n_x:(n + 1) * n_x + n_u] @ k_y
     k_prime = bundle.n_y // n_c - 1
@@ -426,7 +421,7 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
     )
 
 
-def solve_tightening_step(bundle, sys, w, multipliers, cfg, gains=None):
+def solve_tightening_step(bundle, sys, w, multipliers, cfg):
     """Shrink the tightenings and grow the certified l1 ball, gains held.
 
     With the multipliers fixed the containment condition is linear in t,
@@ -495,8 +490,7 @@ def solve_tightening_step(bundle, sys, w, multipliers, cfg, gains=None):
     t_new = sol.x[:n_t]
     alpha = float(sol.x[idx_a])
     objective = float(t_new @ t_new - cfg.mu * alpha)
-    return TighteningStep(tightenings=t_new, gains=gains, alpha=alpha,
-                          objective=objective)
+    return TighteningStep(tightenings=t_new, alpha=alpha, objective=objective)
 
 
 def _consistency_residuals(bundle, sys, w, t, gains, multipliers):
@@ -556,7 +550,7 @@ def synthesize(sys, w, c, cfg, trace=None):
     objective = np.inf
     for it in range(cfg.max_alternations):
         try:
-            tstep = solve_tightening_step(bundle, sys, w, lambdas, cfg, gains=gains)
+            tstep = solve_tightening_step(bundle, sys, w, lambdas, cfg)
         except Infeasible:
             if alpha is None:
                 raise NoProgress("first tightening step infeasible at the "
@@ -605,17 +599,9 @@ CERT_KEYS = [
 ]
 
 
-def _format_cert_value(value):
-    if isinstance(value, str):
-        return repr(value)
-    if isinstance(value, float):
-        return repr(value)
-    return model._format_value(value)
-
-
 def write_certificate(cert):
     """Serialize a Certificate to the text format read_certificate accepts."""
-    fields = {
+    return write_keyed(CERT_HEADER, {
         "n": cert.n,
         "k_prime": cert.terminal.k_prime,
         "epsilon": cert.cost.epsilon,
@@ -635,19 +621,12 @@ def write_certificate(cert):
         "m_gains": [g.m_gains for g in cert.gains],
         "k_delta": [g.k_delta for g in cert.gains],
         "multipliers": list(cert.multipliers),
-    }
-    lines = [CERT_HEADER]
-    for key in CERT_KEYS:
-        lines.append(f"{key} = {_format_cert_value(fields[key])}")
-    return "\n".join(lines) + "\n"
+    })
 
 
 def read_certificate(text, expected_fingerprint=None):
     """Parse a certificate file; reject stale or malformed ones."""
-    first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
-    if first != CERT_HEADER:
-        raise ModelFormatError("certificate: missing format header")
-    e = model.parse_keyed(text, CERT_KEYS, "certificate")
+    e = read_keyed(text, CERT_HEADER, CERT_KEYS, "certificate")
     n = int(e["n"])
     tight = np.asarray(e["tightenings"], dtype=float)
     k_terms = [np.asarray(m, dtype=float) for m in e["k_term"]]

@@ -1,10 +1,16 @@
-"""Small shared helpers: seeded counter-based RNG, hashing, stable float
-formatting for text artifacts.
+"""Small shared helpers: seeded counter-based RNG, hashing, and the text
+format of models, certificates, verification reports and simulation stats:
+a header line, then `key = value` lines whose values are JSON numbers,
+nested JSON arrays of numbers, or quoted strings.
 """
 
+import ast
 import hashlib
+import json
 
 import numpy as np
+
+from .errors import ModelFormatError
 
 _MASK64 = (1 << 64) - 1
 
@@ -28,3 +34,97 @@ def sha256_hex(data):
 def fmt(x):
     """Shortest round-trip decimal form of a float; exact on read-back."""
     return repr(float(x))
+
+
+def _format_value(value):
+    if isinstance(value, str):
+        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return fmt(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1:
+            return "[" + ", ".join(fmt(v) for v in value) + "]"
+        rows = ["[" + ", ".join(fmt(v) for v in row) + "]" for row in value]
+        return "[" + ",\n     ".join(rows) + "]"
+    if isinstance(value, list):  # list of matrices
+        return "[" + ",\n    ".join(_format_value(np.asarray(v)) for v in value) + "]"
+    raise TypeError(f"cannot format {type(value)}")
+
+
+def write_keyed(header, fields):
+    """The header line, then one `key = value` entry per field in order."""
+    lines = [header] + [f"{key} = {_format_value(v)}" for key, v in fields.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite constant {name}")
+
+
+def parse_value(src):
+    """One value as Python numbers, lists and strings; ValueError if bad.
+
+    Quoted strings and older Python-literal input such as `.5` or a tuple
+    are not JSON and go through ast.literal_eval.  NaN and infinities are
+    refused either way.
+    """
+    try:
+        return json.loads(src, parse_constant=_refuse_constant)
+    except ValueError:
+        pass
+    try:
+        return ast.literal_eval(src)
+    except SyntaxError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def read_keyed(text, header, keys, what):
+    """Scan text written by write_keyed into a dict of parsed values.
+
+    The first non-blank line must be header; blank lines and `#` comments
+    are skipped.  A value runs on across lines until its brackets balance,
+    so a stray `]` ends it early and fails as a bad literal.  Every key
+    must be one of keys and appear exactly once.
+    """
+    first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
+    if first != header:
+        raise ModelFormatError(f"{what}: missing format header")
+    entries = {}
+    pending_key = None
+    pending = []
+    depth = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if pending_key is None:
+            if "=" not in line:
+                raise ModelFormatError(
+                    f"{what} line {lineno}: expected 'key = value'")
+            key, line = line.split("=", 1)
+            key, line = key.strip(), line.strip()
+            if key not in keys:
+                raise ModelFormatError(f"{what} line {lineno}: unknown key {key!r}")
+            if key in entries:
+                raise ModelFormatError(
+                    f"{what} line {lineno}: duplicate key {key!r}")
+            pending_key = key
+        pending.append(line)
+        depth += line.count("[") - line.count("]")
+        if depth <= 0:
+            try:
+                entries[pending_key] = parse_value(" ".join(pending))
+            except ValueError as exc:
+                raise ModelFormatError(
+                    f"{what}: bad literal for key {pending_key!r}") from exc
+            pending_key = None
+            pending = []
+            depth = 0
+    if pending_key is not None:
+        raise ModelFormatError(f"{what}: unterminated value for key {pending_key!r}")
+    missing = [k for k in keys if k not in entries]
+    if missing:
+        raise ModelFormatError(f"{what}: missing keys {', '.join(missing)}")
+    return entries

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, mpc, prediction, qpsolver, synthesis, terminal
+from . import model, mpc, prediction, qpsolver, terminal
 from .errors import ModelFormatError, MpcInfeasible, SolverFailure
+from .utils import read_keyed, write_keyed
 
 RESIDUAL_TOL = 1e-6
 SAMPLE_TOL = 1e-7
@@ -132,15 +133,13 @@ def contains(outer_h, outer_rhs, inner_h, inner_rhs, tol=INCLUSION_TOL):
     feasible, _, _ = qpsolver.check_feasible(inner_h, inner_rhs)
     if not feasible:
         return InclusionResult(included=True, witness=None, empty_inner=True)
-    n = inner_h.shape[1]
     for r in range(outer_h.shape[0]):
         row = outer_h[r]
         if not np.any(row):
             if outer_rhs[r] < -tol:
                 return InclusionResult(included=False, witness=None)
             continue
-        sol = qpsolver.solve_qp(qpsolver.QpProblem(
-            h=np.zeros((n, n)), f=-row, a_in=inner_h, b_in=inner_rhs))
+        sol = qpsolver.linear_program(-row, a_in=inner_h, b_in=inner_rhs)
         if sol.status == qpsolver.UNBOUNDED:
             return InclusionResult(included=False, witness=None)
         if sol.status != qpsolver.OPTIMAL:
@@ -185,10 +184,8 @@ def _sample_point(a_lp, bt, rng, pool):
         idx = rng.choice(len(pool), size=take, replace=False)
         wts = rng.dirichlet(np.ones(take))
         return sum(t * pool[i] for t, i in zip(wts, idx))
-    n = a_lp.shape[1]
-    sol = qpsolver.solve_qp(qpsolver.QpProblem(
-        h=np.zeros((n, n)), f=rng.standard_normal(n),
-        a_in=a_lp, b_in=bt))
+    sol = qpsolver.linear_program(rng.standard_normal(a_lp.shape[1]),
+                                  a_in=a_lp, b_in=bt)
     if sol.status != qpsolver.OPTIMAL:
         raise SolverFailure("sampling LP ended with " + sol.status)
     pool.append(sol.x.copy())
@@ -251,10 +248,9 @@ def _decompositions(sys, delta, tau, rng, extra=3):
     ])
     b_eq = np.concatenate([np.asarray(delta, dtype=float).ravel(), [1.0]])
     for _ in range(extra):
-        sol = qpsolver.solve_qp(qpsolver.QpProblem(
-            h=np.zeros((n_d, n_d)), f=rng.standard_normal(n_d),
-            a_eq=a_eq, b_eq=b_eq,
-            a_in=-np.eye(n_d), b_in=np.zeros(n_d)))
+        sol = qpsolver.linear_program(rng.standard_normal(n_d),
+                                      a_in=-np.eye(n_d), b_in=np.zeros(n_d),
+                                      a_eq=a_eq, b_eq=b_eq)
         if sol.status == qpsolver.OPTIMAL:
             out.append(np.maximum(sol.x, 0.0))
     return out
@@ -368,7 +364,7 @@ def audit(report, runs):
 
 def write_report(report):
     """Serialize a report to keyed text; one line of derived verdict."""
-    vals = {
+    return write_keyed(REPORT_HEADER, {
         "farkas_negativity": np.asarray(
             [d["negativity"] for d in report.farkas_residuals]),
         "farkas_equality": np.asarray(
@@ -382,19 +378,12 @@ def write_report(report):
         "lyapunov_failures": report.lyapunov_failures,
         "lyapunov_worst_margin": report.lyapunov_worst_margin,
         "valid": report.valid,
-    }
-    lines = [REPORT_HEADER]
-    for key in REPORT_KEYS:
-        lines.append(key + " = " + synthesis._format_cert_value(vals[key]))
-    return "\n".join(lines) + "\n"
+    })
 
 
 def read_report(text):
     """Parse a serialized report; the stored verdict must match the data."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != REPORT_HEADER:
-        raise ModelFormatError("unrecognized report header")
-    entries = model.parse_keyed(text, REPORT_KEYS, "report")
+    entries = read_keyed(text, REPORT_HEADER, REPORT_KEYS, "report")
     neg = list(entries["farkas_negativity"])
     eq = list(entries["farkas_equality"])
     ineq = list(entries["farkas_inequality"])

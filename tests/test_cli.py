@@ -1,9 +1,12 @@
+import csv
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
-from clrmpc import cli, model, sim, synthesis, verify
+from clrmpc import cli, model, mpc, sim, synthesis, verify
+from clrmpc.errors import SolverFailure
 from conftest import _scalar_model
 
 SCALAR_FLAGS = ["--n", "3", "--kprime", "1", "--init-scale", "1.0"]
@@ -133,6 +136,38 @@ def test_simulate_infeasible_start(pipeline_dir, tmp_path):
     assert stats["infeasible_count"] == 1
 
 
+def test_simulate_records_solver_failure(pipeline_dir, tmp_path, monkeypatch):
+    """A run cut short by a solver failure shows in stats.txt, summary.csv
+    and report.md, and the batch goes on."""
+    steps, bad_run, bad_step = 4, 1, 2
+    real_solve = mpc.solve_mpc
+    calls = []
+
+    def flaky(ctrl_, x):
+        calls.append(1)
+        if len(calls) == bad_run * steps + bad_step + 1:
+            raise SolverFailure("online QP ended with status maxiter")
+        return real_solve(ctrl_, x)
+
+    monkeypatch.setattr(mpc, "solve_mpc", flaky)
+    flags = ["--realizations", "3", "--steps", str(steps), "--seed", "3"]
+    assert cli.main(simulate_args(pipeline_dir, tmp_path, flags)) == cli.EXIT_SYNTH
+    stats = cli.read_stats((tmp_path / "stats.txt").read_text())
+    assert stats["failed_count"] == 1
+    assert stats["infeasible_count"] == 0
+    rows = list(csv.DictReader(
+        (tmp_path / "summary.csv").read_text().splitlines()[1:]))
+    assert [r["failed_step"] for r in rows] == ["", str(bad_step), ""]
+    assert [r["steps"] for r in rows] == [str(steps), str(bad_step), str(steps)]
+    shutil.copy(pipeline_dir / "out" / "certificate.txt", tmp_path)
+    assert cli.main(["verify", "--model", str(pipeline_dir / "scalar.model"),
+                     "--certificate", str(tmp_path / "certificate.txt"),
+                     "--out", str(tmp_path), "--srf-samples", "10",
+                     "--lyap-samples", "2"]) == 0
+    assert cli.main(["report", "--dir", str(tmp_path)]) == 0
+    assert "- failed_count = 1\n" in (tmp_path / "report.md").read_text()
+
+
 def test_report_command(pipeline_dir, tmp_path):
     out = pipeline_dir / "out"
     flags = ["--realizations", "2", "--steps", "4", "--seed", "3"]
@@ -140,6 +175,7 @@ def test_report_command(pipeline_dir, tmp_path):
     assert cli.main(["report", "--dir", str(out)]) == 0
     text = (out / "report.md").read_text()
     assert "violation_count = 0" in text
+    assert "failed_count = 0" in text
     assert "VALID" in text
     assert "reference-only" in text
     assert "83.0" in text

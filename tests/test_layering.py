@@ -1,0 +1,80 @@
+"""Module boundaries of the package, read from its source with ast.
+
+No module reaches into another package module's underscore names, so
+each decision has one owner, and the verifier imports neither the
+synthesis it checks nor the command line front end.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clrmpc"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _package_imports(tree):
+    """(submodule or None, imported names) for each import from the package,
+    written relative (`from . import m`) or absolute (`from clrmpc.m import f`)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 1:
+            yield node.module, node.names
+        elif node.level == 0 and parts[0] == "clrmpc":
+            yield (".".join(parts[1:]) or None), node.names
+
+
+def _aliases(tree):
+    """Local names bound to package modules, as {name: module}."""
+    return {a.asname or a.name: a.name
+            for module, names in _package_imports(tree) if module is None
+            for a in names}
+
+
+def _imported(tree):
+    """Every package module a module imports."""
+    return (set(_aliases(tree).values())
+            | {module for module, _ in _package_imports(tree) if module})
+
+
+def _private_uses(tree):
+    """Underscore names of other package modules that a module reads."""
+    aliases = _aliases(tree)
+    uses = [f"{module}.{a.name}" for module, names in _package_imports(tree)
+            if module for a in names if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            uses.append(f"{aliases[node.value.id]}.{node.attr}")
+    return uses
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text(), filename=name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_another_modules_private_names(name):
+    assert _private_uses(_tree(name)) == []
+
+
+def test_verify_is_independent_of_synthesis_and_cli():
+    assert "synthesis" in MODULES and "cli" in MODULES
+    imported = _imported(_tree("verify"))
+    assert "mpc" in imported
+    assert not imported & {"synthesis", "cli"}
+
+
+def test_checker_sees_cross_module_private_reads():
+    tree = ast.parse("from . import model, utils as u\n"
+                     "from .synthesis import _format_cert_value\n"
+                     "from clrmpc.sim import _pack\nfrom clrmpc import cli\n"
+                     "model._format_value(1)\nu._MASK64\nmodel.__name__\n")
+    assert sorted(_private_uses(tree)) == [
+        "model._format_value", "sim._pack", "synthesis._format_cert_value",
+        "utils._MASK64"]
+    assert _imported(tree) == {"model", "utils", "synthesis", "sim", "cli"}

@@ -233,10 +233,10 @@ def test_summary_and_envelope_csv(scalar_uncertain_controller):
     runs = sim.run_batch(ctrl, sys, w, [0.5], 5, 2, seed=15)
     rows = _rows(sim.batch_summary_csv(runs), sim.CSV_SUMMARY_HEADER)
     assert rows[0] == ["run", "steps", "cumulative_cost", "violations",
-                       "infeasible_step"]
+                       "infeasible_step", "failed_step"]
     assert [r[0] for r in rows[1:]] == ["0", "1"]
     assert float(rows[1][2]) == runs[0].cumulative_cost
-    assert rows[1][4] == ""
+    assert rows[1][4] == rows[1][5] == ""
     stats = sim.batch_stats(runs)
     env = _rows(sim.envelope_csv(stats), sim.CSV_ENVELOPE_HEADER)
     assert env[0] == ["step", "x0_min", "x0_max", "u0_min", "u0_max"]

@@ -248,7 +248,7 @@ def test_tightening_step_certain_scalar():
     step = synthesis.solve_multiplier_step(bundle, sys, w, t0)
     assert step.max_residual <= 1e-9
     tstep = synthesis.solve_tightening_step(bundle, sys, w, step.multipliers,
-                                            cfg, gains=step.gains)
+                                            cfg)
     assert np.abs(tstep.tightenings[c.n_c:]).max() <= 1e-6
     assert abs(tstep.alpha - 1.0) <= 1e-7
     assert abs(tstep.objective - (-2.0)) <= 1e-6
@@ -260,7 +260,7 @@ def test_tightening_step_alpha_against_direct_lp():
     t0 = synthesis.initial_guess(bundle, sys, w, cfg, k_y=ts.k_y)
     step = synthesis.solve_multiplier_step(bundle, sys, w, t0)
     tstep = synthesis.solve_tightening_step(bundle, sys, w, step.multipliers,
-                                            cfg, gains=step.gains)
+                                            cfg)
     h_sx = bundle.h_xu @ bundle.s_x
     h_su = bundle.h_xu @ bundle.s_u
     best = np.inf
@@ -283,7 +283,7 @@ def test_tightening_step_mu_dominates_objective():
     tiny = synthesis.SynthesisConfig(n=cfg.n, k_prime=cfg.k_prime, mu=1e-300,
                                      epsilon=0.1, init_scale=1.0)
     tstep = synthesis.solve_tightening_step(bundle, sys, w, step.multipliers,
-                                            tiny, gains=step.gains)
+                                            tiny)
     assert tstep.objective == pytest.approx(
         float(tstep.tightenings @ tstep.tightenings), abs=1e-30)
 
