@@ -18,14 +18,15 @@ import numpy as np
 
 from . import qpsolver
 from .errors import DimensionMismatch, EmptyPolytope, ModelFormatError
-from .utils import read_keyed, sha256_hex, write_keyed
+from .utils import MATRICES, MATRIX, VECTOR, read_keyed, sha256_hex, write_keyed
 
 MODEL_HEADER = "# uncertain system model, toolkit text format v1"
-MODEL_KEYS = [
-    "n_x", "n_u", "n_p", "n_w",
-    "A", "B", "B_p", "B_w", "D_x", "D_u", "D_w",
-    "deltas", "H_w", "h_w", "F", "G", "b",
-]
+MODEL_KEYS = {
+    "n_x": int, "n_u": int, "n_p": int, "n_w": int,
+    "A": MATRIX, "B": MATRIX, "B_p": MATRIX, "B_w": MATRIX,
+    "D_x": MATRIX, "D_u": MATRIX, "D_w": MATRIX, "deltas": MATRICES,
+    "H_w": MATRIX, "h_w": VECTOR, "F": MATRIX, "G": MATRIX, "b": VECTOR,
+}
 
 
 def _mat(value, rows, cols, name):
@@ -193,21 +194,6 @@ class ConstraintSet:
         return np.hstack([self.f, self.g])
 
 
-def _bounded(hmat, bvec):
-    """True when {x : hmat x <= bvec} is bounded (LP in each +-coordinate)."""
-    dim = hmat.shape[1]
-    for i in range(dim):
-        for sign in (1.0, -1.0):
-            c = np.zeros(dim)
-            c[i] = -sign  # maximize sign * x_i
-            sol = qpsolver.linear_program(c, a_in=hmat, b_in=bvec)
-            if sol.status == qpsolver.UNBOUNDED:
-                return False
-            if sol.status != qpsolver.OPTIMAL:
-                return False
-    return True
-
-
 def validate(sys, w, c):
     """Cross-check a model triple; returns a list of human-readable issues."""
     issues = []
@@ -222,10 +208,12 @@ def validate(sys, w, c):
     if np.any(w.b < 0):
         issues.append("disturbance set must contain the origin (h_w 0 <= b_w)")
     if not issues:
-        if not _bounded(np.hstack([c.f, c.g]), c.b):
-            issues.append("constraint set is unbounded")
-        if not _bounded(w.h, w.b):
-            issues.append("disturbance set is unbounded")
+        for name, poly in (("constraint", Polytope(h=c.stacked(), b=c.b)),
+                           ("disturbance", w)):
+            try:
+                poly.bounding_box
+            except EmptyPolytope:
+                issues.append(f"{name} set is unbounded")
     return issues
 
 
@@ -349,19 +337,17 @@ def read_model_text(text):
     """Parse the model text format; rejects a missing header and unknown or
     missing keys."""
     entries = read_keyed(text, MODEL_HEADER, MODEL_KEYS, "model")
-    dims = {k: int(entries[k]) for k in ("n_x", "n_u", "n_p", "n_w")}
     try:
         sys = UncertainSystem(
             a=entries["A"], b=entries["B"], b_p=entries["B_p"], b_w=entries["B_w"],
             d_x=entries["D_x"], d_u=entries["D_u"], d_w=entries["D_w"],
-            deltas=[np.asarray(d, dtype=float) for d in entries["deltas"]],
+            deltas=list(entries["deltas"]),
         )
     except (DimensionMismatch, ValueError) as exc:
         raise ModelFormatError(str(exc)) from exc
-    for name, declared, actual in (
-        ("n_x", dims["n_x"], sys.n_x), ("n_u", dims["n_u"], sys.n_u),
-        ("n_p", dims["n_p"], sys.n_p), ("n_w", dims["n_w"], sys.n_w),
-    ):
+    for name, actual in (("n_x", sys.n_x), ("n_u", sys.n_u),
+                         ("n_p", sys.n_p), ("n_w", sys.n_w)):
+        declared = entries[name]
         if declared != actual:
             raise ModelFormatError(f"declared {name}={declared} but matrices give {actual}")
     try:

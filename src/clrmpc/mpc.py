@@ -63,9 +63,6 @@ def make_controller(sys, w, c, cert):
             "certificate was synthesized for a different model")
     bundle = prediction.build_bundle(
         sys, c, cert.terminal.y, cert.terminal.z, cert.n)
-    bt = bundle.b_stack - cert.tightenings
-    if bt.min() < 0:
-        raise ValueError("tightenings exceed the constraint bounds")
     q_s = terminal.stack_cost(bundle, cert.q_x, cert.q_u, cert.cost.q_n)
     qs_x = q_s @ bundle.s_x
     qs_u = q_s @ bundle.s_u
@@ -77,9 +74,9 @@ def make_controller(sys, w, c, cert):
         hess=2.0 * (bundle.s_u.T @ qs_u),
         f_map=2.0 * (bundle.s_u.T @ qs_x),
         v_map=bundle.s_x.T @ qs_x,
-        a_in=bundle.h_xu @ bundle.s_u,
-        g_map=bundle.h_xu @ bundle.s_x,
-        bt=bt,
+        a_in=bundle.a_u,
+        g_map=bundle.a_x,
+        bt=bundle.tightened(cert.tightenings),
     )
 
 

@@ -6,7 +6,9 @@ the bundle's map S sends s to the stacked nominal trajectory
 constraint system H_xu S s <= b - t, and the one-step matrices describe how
 the stacked trajectory at the next sample depends on (s, w) for each
 uncertainty vertex, with or without the feedback parameterization of the
-successor input sequence.
+successor input sequence.  The bundle owns the plan polytope
+{s : a_lp s <= b - t} and successor_rows its one-step successor rows, so
+synthesis, verification and the online controller all read one algebra.
 """
 
 from dataclasses import dataclass, field
@@ -70,6 +72,9 @@ class PredictionBundle:
     h_xu: np.ndarray
     b_stack: np.ndarray
     d_xu: np.ndarray
+    a_lp: np.ndarray
+    a_x: np.ndarray
+    a_u: np.ndarray
     c_w: list = field(default_factory=list)
 
     @property
@@ -91,10 +96,27 @@ class PredictionBundle:
         """Rows of S producing the terminal predicted state."""
         return self.s_mat[self.n * self.n_x:(self.n + 1) * self.n_x, :]
 
+    def stage_rows(self):
+        """(F, G, b) of one stage, read back from the stacked rows."""
+        n, n_x, n_u, n_c = self.n, self.n_x, self.n_u, self.n_c
+        f = self.h_xu[:n_c, :n_x]
+        g = self.h_xu[:n_c, (n + 1) * n_x:(n + 1) * n_x + n_u]
+        return f, g, self.b_stack[:n_c]
+
+    def tightened(self, t):
+        """Offsets b - t of the plan polytope a_lp s <= b - t; ValueError
+        when a tightening exceeds its offset by more than rounding."""
+        bt = self.b_stack - np.asarray(t, dtype=float).ravel()
+        if bt.min() < -1e-12:
+            raise ValueError("tightenings exceed the constraint offsets")
+        return bt
+
 
 def build_bundle(sys, c, y, z, n):
     """Assemble the stacked matrices for horizon n and terminal set (y, z).
 
+    a_lp, a_x and a_u are H_xu times S, S_x and S_u, three separate
+    products: a column slice of a_lp can differ from a_x in the last bit.
     Every array is returned read-only, so no caller can change a bundle
     that others hold.
     """
@@ -143,7 +165,8 @@ def build_bundle(sys, c, y, z, n):
         n=n, n_x=n_x, n_u=n_u, n_c=n_c, n_y=n_y,
         s_mat=_freeze(s_mat), s_x=_freeze(s_x), s_u=_freeze(s_u),
         h_xu=_freeze(h_xu), b_stack=_freeze(b_stack),
-        d_xu=_freeze(d_xu), c_w=c_w,
+        d_xu=_freeze(d_xu), a_lp=_freeze(h_xu @ s_mat),
+        a_x=_freeze(h_xu @ s_x), a_u=_freeze(h_xu @ s_u), c_w=c_w,
     )
 
 
@@ -181,6 +204,12 @@ def build_gain_matrices(bundle, gains, sys, vertex):
     )
     c_m = bundle.c_w[vertex] + bundle.s_u @ gains.m_gains @ sys.b_w
     return c_k, c_m
+
+
+def successor_rows(bundle, gains, sys, vertex):
+    """Rows H_xu [c_k, c_m] of the successor constraints over (s, w)."""
+    c_k, c_m = build_gain_matrices(bundle, gains, sys, vertex)
+    return bundle.h_xu @ np.hstack([c_k, c_m])
 
 
 def candidate_inputs(bundle, gains, sys, s, w):

@@ -56,16 +56,6 @@ class Trajectory:
         return float(np.sum(self.stage_costs))
 
 
-def _stage_rows(ctrl):
-    """Recover (F, G, b) for one stage from the stacked constraint data."""
-    bundle = ctrl.bundle
-    n, n_x, n_u, n_c = bundle.n, bundle.n_x, bundle.n_u, bundle.n_c
-    f = bundle.h_xu[:n_c, :n_x]
-    g = bundle.h_xu[:n_c, (n + 1) * n_x: (n + 1) * n_x + n_u]
-    b = bundle.b_stack[:n_c]
-    return f, g, b
-
-
 def _delta_source(sys, rng, mode, delta_schedule):
     """Per-step supplier of (delta, hull weights) draws."""
     n_d = len(sys.deltas)
@@ -104,7 +94,7 @@ def run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=FIXED_DELTA,
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     x = np.asarray(x0, dtype=float).ravel()
-    f, g, b = _stage_rows(ctrl)
+    f, g, b = ctrl.bundle.stage_rows()
     # the online QP accepts primal residuals up to this tolerance, so an
     # accepted solve may overshoot its active rows by as much
     violation_tol = qpsolver.ACCEPT_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))

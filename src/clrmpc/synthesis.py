@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, prediction, qpsolver, terminal
+from . import model, prediction, qpsolver, terminal, verify
 from .errors import (
     FingerprintMismatch,
     Infeasible,
@@ -37,11 +37,10 @@ from .errors import (
     NoProgress,
     SolverFailure,
 )
-from .utils import read_keyed, write_keyed
+from .utils import MATRICES, MATRIX, VECTOR, read_keyed, write_keyed
 
 SIGMA_GATE = 1e-7
 ALPHA_MIN = 1e-9
-RESIDUAL_TOL = 1e-6
 PROX_WEIGHT = 1e-6
 MAX_ROUNDS = 60
 STALL_LIMIT = 15
@@ -193,8 +192,7 @@ def _vertex_maps(bundle, sys, vertex):
     n, n_x, n_u = bundle.n, bundle.n_x, bundle.n_u
     term_cols = bundle.h_xu[:, n * n_x:(n + 1) * n_x]
     p_k = term_cols @ sys.b + bundle.h_xu[:, bundle.n_rows - n_u:]
-    p_u = bundle.h_xu @ bundle.s_u
-    return _VertexMaps(bundle.h_xu @ c_k0, bundle.h_xu @ c_m0, p_k, p_u)
+    return _VertexMaps(bundle.h_xu @ c_k0, bundle.h_xu @ c_m0, p_k, bundle.a_u)
 
 
 def _pack_gains(g):
@@ -211,12 +209,6 @@ def _unpack_gains(vec, n, n_x, n_u):
     )
 
 
-def _successor_rows(bundle, sys, vertex, gains):
-    """Row directions of the successor constraints over (plan, disturbance)."""
-    c_k, c_m = prediction.build_gain_matrices(bundle, gains, sys, vertex)
-    return bundle.h_xu @ np.hstack([c_k, c_m])
-
-
 def _cut_coeffs(maps, term, sys, bundle, r, y_s, y_w):
     """Row-r successor support at plan point (y_s, y_w) as affine(gains)."""
     tau = term @ y_s
@@ -231,14 +223,14 @@ def _cut_coeffs(maps, term, sys, bundle, r, y_s, y_w):
     return coef, const
 
 
-def _separate(bundle, sys, w, a_lp, bt, vertex, gains, memo):
+def _separate(bundle, sys, w, bt, vertex, gains, memo):
     """Exact row slacks of the containment at the given gains."""
-    rhs = _successor_rows(bundle, sys, vertex, gains)
+    rhs = prediction.successor_rows(bundle, gains, sys, vertex)
     n_s = bundle.n_s
     sigmas = np.empty(bundle.n_t)
     points = []
     for r in range(bundle.n_t):
-        v_s, y_s, _ = _plan_support(a_lp, bt, rhs[r, :n_s], memo)
+        v_s, y_s, _ = _plan_support(bundle.a_lp, bt, rhs[r, :n_s], memo)
         v_w, y_w = _w_support(w, rhs[r, n_s:])
         sigmas[r] = v_s + v_w - bt[r]
         points.append((y_s, y_w))
@@ -265,7 +257,7 @@ def _solve_master(cuts, bt_min, g_center):
     return sol.x[:n_g], float(sol.x[n_g])
 
 
-def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target, memo):
+def _vertex_multiplier(bundle, sys, w, bt, vertex, warm, pool, target, memo):
     """Cutting-plane gain search plus dual recovery for one vertex.
 
     Pool entries are (row, y_s, y_w, coef, const): a plan point and its
@@ -279,7 +271,7 @@ def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target, mem
     entries = {}
     for key, entry in (pool or {}).items():
         # stale plan points outside the new tightened set give invalid cuts
-        if (a_lp @ entry[1] - bt).max() <= CUT_FEAS_TOL:
+        if (bundle.a_lp @ entry[1] - bt).max() <= CUT_FEAS_TOL:
             entries[key] = entry
 
     def add_point(r, y_s, y_w):
@@ -294,7 +286,7 @@ def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target, mem
         return [(coef, bt_vec[r] - const) for r, _, _, coef, const in entries.values()]
 
     g_best = _pack_gains(warm)
-    sigmas, points = _separate(bundle, sys, w, a_lp, bt, vertex,
+    sigmas, points = _separate(bundle, sys, w, bt, vertex,
                                _unpack_gains(g_best, bundle.n, bundle.n_x, bundle.n_u),
                                memo)
     sigma_best = float(sigmas.max())
@@ -305,7 +297,7 @@ def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target, mem
     rounds = 1
     while not (target is not None and sigma_best <= target) and rounds < MAX_ROUNDS:
         g_new, sigma_pred = _solve_master(cuts_for(bt), float(bt.min()), g_best)
-        sigmas, points = _separate(bundle, sys, w, a_lp, bt, vertex,
+        sigmas, points = _separate(bundle, sys, w, bt, vertex,
                                    _unpack_gains(g_new, bundle.n, bundle.n_x, bundle.n_u),
                                    memo)
         sigma_new = float(sigmas.max())
@@ -325,19 +317,19 @@ def _vertex_multiplier(bundle, sys, w, a_lp, bt, vertex, warm, pool, target, mem
 
     # the separation at g_best solved these rows already; memo hits
     gains = _unpack_gains(g_best, bundle.n, bundle.n_x, bundle.n_u)
-    rhs = _successor_rows(bundle, sys, vertex, gains)
+    rhs = prediction.successor_rows(bundle, gains, sys, vertex)
     n_s = bundle.n_s
     lam = np.zeros((n_t, n_t + w.h.shape[0]))
     sigma_fin = -np.inf
     for r in range(n_t):
         d_s, d_w = rhs[r, :n_s], rhs[r, n_s:]
-        v_s, _, duals = _plan_support(a_lp, bt, d_s, memo)
+        v_s, _, duals = _plan_support(bundle.a_lp, bt, d_s, memo)
         lam_w = _w_support_dual(w, d_w)
         lam[r, :n_t] = duals
         lam[r, n_t:] = lam_w
         sigma_fin = max(sigma_fin, v_s + float(w.b @ lam_w) - bt[r])
 
-    eq = np.hstack([lam[:, :n_t] @ a_lp, lam[:, n_t:] @ w.h])
+    eq = np.hstack([lam[:, :n_t] @ bundle.a_lp, lam[:, n_t:] @ w.h])
     eq_res = float(np.abs(eq - rhs).max())
     if len(entries) > POOL_CAP:
         keys = list(entries)[-POOL_CAP:]
@@ -355,9 +347,10 @@ def initial_guess(bundle, sys, w, cfg, k_y):
     row directions.  The whole vector is inflated by cfg.init_scale;
     block 0 stays zero.
     """
-    n, n_x, n_u, n_c = bundle.n, bundle.n_x, bundle.n_u, bundle.n_c
+    n, n_x, n_c = bundle.n, bundle.n_x, bundle.n_c
     a_k = sys.a + sys.b @ k_y
-    fgk = bundle.h_xu[:n_c, :n_x] + bundle.h_xu[:n_c, (n + 1) * n_x:(n + 1) * n_x + n_u] @ k_y
+    f, g, _ = bundle.stage_rows()
+    fgk = f + g @ k_y
     k_prime = bundle.n_y // n_c - 1
 
     mats = []
@@ -387,14 +380,11 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
     Returns the per-vertex gains, the recovered multipliers, and the
     worst containment slack sigma over all vertices; sigma <= 0 means
     the tightened set is recursively feasible as it stands.  Every
-    plan-support LP of the step shares a_lp and bt, so one memo keyed by
-    the direction serves all rounds and vertices and ends with the call.
+    plan-support LP of the step shares bundle.a_lp and bt, so one memo
+    keyed by the direction serves all rounds and vertices and ends with
+    the call.
     """
-    t_fixed = np.asarray(t_fixed, dtype=float).ravel()
-    bt = bundle.b_stack - t_fixed
-    if bt.min() < -1e-12:
-        raise ValueError("tightenings exceed the constraint offsets")
-    a_lp = bundle.h_xu @ bundle.s_mat
+    bt = bundle.tightened(t_fixed)
     n_delta = len(sys.deltas)
     if warm_gains is None:
         warm_gains = [prediction.zero_gains(bundle.n, bundle.n_x, bundle.n_u)
@@ -403,14 +393,14 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
         pools = [None] * n_delta
 
     memo = {}
-    results = [_vertex_multiplier(bundle, sys, w, a_lp, bt, j, warm_gains[j],
+    results = [_vertex_multiplier(bundle, sys, w, bt, j, warm_gains[j],
                                   pools[j], target, memo)
                for j in range(n_delta)]
     gains = [r[0] for r in results]
     multipliers = [r[1] for r in results]
     sigmas = np.array([r[2] for r in results])
     eq_res = max(r[4] for r in results)
-    if eq_res > RESIDUAL_TOL:
+    if eq_res > verify.RESIDUAL_TOL:
         raise SolverFailure(f"multiplier equality residual {eq_res:.3e}")
     return MultiplierStep(
         gains=gains,
@@ -467,16 +457,14 @@ def solve_tightening_step(bundle, sys, w, multipliers, cfg):
         rows_a.append(block)
         rows_b.append(bundle.b_stack - lam_s @ bundle.b_stack - lam_w @ w.b)
 
-    h_sx = bundle.h_xu @ bundle.s_x
-    h_su = bundle.h_xu @ bundle.s_u
     for j in range(n_x):
         for sign in (1.0, -1.0):
             i_ball = 2 * j + (0 if sign > 0 else 1)
             block = np.zeros((n_t, n_z))
             block[:, :n_t] = np.eye(n_t)
-            block[:, idx_a] = sign * h_sx[:, j]
+            block[:, idx_a] = sign * bundle.a_x[:, j]
             cols = n_t + 1 + i_ball * n_plan
-            block[:, cols:cols + n_plan] = h_su
+            block[:, cols:cols + n_plan] = bundle.a_u
             rows_a.append(block)
             rows_b.append(bundle.b_stack.copy())
 
@@ -493,23 +481,9 @@ def solve_tightening_step(bundle, sys, w, multipliers, cfg):
     return TighteningStep(tightenings=t_new, alpha=alpha, objective=objective)
 
 
-def _consistency_residuals(bundle, sys, w, t, gains, multipliers):
-    """Recompute both Farkas residual families from the raw pieces."""
-    a_lp = bundle.h_xu @ bundle.s_mat
-    bt = bundle.b_stack - t
-    stacked = np.concatenate([bt, w.b])
-    eq_res = 0.0
-    in_res = 0.0
-    for j, (g, lam) in enumerate(zip(gains, multipliers)):
-        rhs = _successor_rows(bundle, sys, j, g)
-        lhs = np.hstack([lam[:, :bundle.n_t] @ a_lp, lam[:, bundle.n_t:] @ w.h])
-        eq_res = max(eq_res, float(np.abs(lhs - rhs).max()))
-        in_res = max(in_res, float((lam @ stacked - bt).max()))
-    return eq_res, max(in_res, 0.0)
-
-
 def synthesize(sys, w, c, cfg, trace=None):
-    """Run the full offline phase and return a checked Certificate.
+    """Run the full offline phase and return a Certificate that passes
+    verify.check_farkas.
 
     When trace is a list, every accepted alternation objective is
     appended to it, oldest first.
@@ -532,7 +506,9 @@ def synthesize(sys, w, c, cfg, trace=None):
     best_sigma = np.inf
     for scale in GUESS_SCALES:
         t_try = base * scale
-        if np.any(bundle.b_stack - t_try < 0):
+        try:
+            bundle.tightened(t_try)
+        except ValueError:
             continue
         ms = solve_multiplier_step(bundle, sys, w, t_try, warm_gains=warm,
                                    target=0.0)
@@ -572,12 +548,8 @@ def synthesize(sys, w, c, cfg, trace=None):
 
     tc = terminal.synthesize_terminal_cost(bundle, gains, sys, q_x, q_u,
                                            cfg.epsilon)
-    eq_res, in_res = _consistency_residuals(bundle, sys, w, t_cur, gains, lambdas)
-    if max(eq_res, in_res) > RESIDUAL_TOL:
-        raise SolverFailure(
-            f"certificate residuals too large: {eq_res:.3e}, {in_res:.3e}")
     fingerprint = model.model_fingerprint(model.write_model_text(sys, w, c))
-    return Certificate(
+    cert = Certificate(
         tightenings=t_cur,
         gains=gains,
         multipliers=lambdas,
@@ -590,13 +562,21 @@ def synthesize(sys, w, c, cfg, trace=None):
         q_u=q_u,
         fingerprint=fingerprint,
     )
+    residuals = verify.check_farkas(cert, bundle, sys, w)
+    if not verify.farkas_clean(residuals):
+        worst = max(max(d.values()) for d in residuals)
+        raise SolverFailure(f"certificate Farkas residual {worst:.3e}")
+    return cert
 
 
-CERT_KEYS = [
-    "n", "k_prime", "epsilon", "p_margin", "slack", "alpha", "objective",
-    "fingerprint", "q_x", "q_u", "q_n", "k_y", "term_y", "term_z",
-    "tightenings", "k_term", "m_gains", "k_delta", "multipliers",
-]
+CERT_KEYS = {
+    "n": int, "k_prime": int, "epsilon": float, "p_margin": float,
+    "slack": float, "alpha": float, "objective": float, "fingerprint": str,
+    "q_x": MATRIX, "q_u": MATRIX, "q_n": MATRIX, "k_y": MATRIX,
+    "term_y": MATRIX, "term_z": VECTOR, "tightenings": VECTOR,
+    "k_term": MATRICES, "m_gains": MATRICES, "k_delta": MATRICES,
+    "multipliers": MATRICES,
+}
 
 
 def write_certificate(cert):
@@ -627,44 +607,29 @@ def write_certificate(cert):
 def read_certificate(text, expected_fingerprint=None):
     """Parse a certificate file; reject stale or malformed ones."""
     e = read_keyed(text, CERT_HEADER, CERT_KEYS, "certificate")
-    n = int(e["n"])
-    tight = np.asarray(e["tightenings"], dtype=float)
-    k_terms = [np.asarray(m, dtype=float) for m in e["k_term"]]
-    m_gains = [np.asarray(m, dtype=float) for m in e["m_gains"]]
-    k_deltas = [np.asarray(m, dtype=float) for m in e["k_delta"]]
-    lams = [np.asarray(m, dtype=float) for m in e["multipliers"]]
-    if not (len(k_terms) == len(m_gains) == len(k_deltas) == len(lams)):
+    lams = list(e["multipliers"])
+    if not (len(e["k_term"]) == len(e["m_gains"]) == len(e["k_delta"]) == len(lams)):
         raise ModelFormatError("certificate: per-vertex lists disagree in length")
     gains = [prediction.GainSet(k_term=k, m_gains=m, k_delta=d)
-             for k, m, d in zip(k_terms, m_gains, k_deltas)]
-    ts = terminal.TerminalSet(
-        y=np.asarray(e["term_y"], dtype=float),
-        z=np.asarray(e["term_z"], dtype=float),
-        k_y=np.asarray(e["k_y"], dtype=float),
-        k_prime=int(e["k_prime"]),
-    )
-    tc = terminal.TerminalCost(
-        q_n=np.asarray(e["q_n"], dtype=float),
-        epsilon=float(e["epsilon"]),
-        p_margin=float(e["p_margin"]),
-        slack=float(e["slack"]),
-    )
+             for k, m, d in zip(e["k_term"], e["m_gains"], e["k_delta"])]
+    ts = terminal.TerminalSet(y=e["term_y"], z=e["term_z"], k_y=e["k_y"],
+                              k_prime=e["k_prime"])
+    tc = terminal.TerminalCost(q_n=e["q_n"], epsilon=e["epsilon"],
+                               p_margin=e["p_margin"], slack=e["slack"])
     cert = Certificate(
-        tightenings=tight,
+        tightenings=e["tightenings"],
         gains=gains,
         multipliers=lams,
         terminal=ts,
         cost=tc,
-        alpha=float(e["alpha"]),
-        objective=float(e["objective"]),
-        n=n,
-        q_x=np.asarray(e["q_x"], dtype=float),
-        q_u=np.asarray(e["q_u"], dtype=float),
-        fingerprint=str(e["fingerprint"]),
+        alpha=e["alpha"],
+        objective=e["objective"],
+        n=e["n"],
+        q_x=e["q_x"],
+        q_u=e["q_u"],
+        fingerprint=e["fingerprint"],
     )
-    if tight.ndim != 1:
-        raise ModelFormatError("certificate: tightenings must be a vector")
-    n_t = tight.shape[0]
+    n_t = cert.tightenings.shape[0]
     for lam in cert.multipliers:
         # negative entries are left for the verifier to flag, so corrupted
         # certificates stay loadable and fail loudly where it counts

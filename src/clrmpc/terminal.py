@@ -112,14 +112,21 @@ def optimal_manifold(bundle, q_x, q_u, q_n):
     return np.vstack([np.eye(bundle.n_x), phi])
 
 
-def _restricted_lmi(bundle, c_k_list, q_x, q_u, q_n, epsilon, pi):
-    """Worst vertex eigenpair of the manifold-restricted decrease LMI."""
+def _decrease_forms(bundle, c_k_list, q_x, q_u, q_n, epsilon, pi):
+    """(c_k, symmetric Pi' (S' Q_s S - (1+eps) C_K' Q_s C_K) Pi) per vertex."""
     q_s = stack_cost(bundle, q_x, q_u, q_n)
     lhs = bundle.s_mat.T @ q_s @ bundle.s_mat
-    best = None
     for c_k in c_k_list:
         g = pi.T @ (lhs - (1.0 + epsilon) * c_k.T @ q_s @ c_k) @ pi
-        vals, vecs = np.linalg.eigh(0.5 * (g + g.T))
+        yield c_k, 0.5 * (g + g.T)
+
+
+def _restricted_lmi(bundle, c_k_list, q_x, q_u, q_n, epsilon, pi):
+    """Worst vertex eigenpair of the manifold-restricted decrease LMI."""
+    best = None
+    for c_k, form in _decrease_forms(bundle, c_k_list, q_x, q_u, q_n,
+                                     epsilon, pi):
+        vals, vecs = np.linalg.eigh(form)
         if best is None or vals[0] < best[0]:
             best = (vals[0], pi @ vecs[:, 0], c_k)
     return best
@@ -223,11 +230,6 @@ def synthesize_terminal_cost(bundle, gains, sys, q_x, q_u, epsilon):
 def terminal_cost_slack(bundle, c_k_list, q_x, q_u, q_n, epsilon):
     """Margin of the restricted decrease LMI, via the package eigensolver."""
     pi = optimal_manifold(bundle, q_x, q_u, q_n)
-    q_s = stack_cost(bundle, q_x, q_u, q_n)
-    lhs = bundle.s_mat.T @ q_s @ bundle.s_mat
-    worst = np.inf
-    for c_k in c_k_list:
-        g = pi.T @ (lhs - (1.0 + epsilon) * c_k.T @ q_s @ c_k) @ pi
-        eig = linalg.sym_eig(0.5 * (g + g.T))
-        worst = min(worst, float(eig.values[0]))
-    return worst
+    forms = _decrease_forms(bundle, c_k_list, q_x, q_u, q_n, epsilon, pi)
+    return min((float(linalg.sym_eig(form).values[0]) for _, form in forms),
+               default=np.inf)

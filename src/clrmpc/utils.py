@@ -14,6 +14,10 @@ from .errors import ModelFormatError
 
 _MASK64 = (1 << 64) - 1
 
+# Value kinds of read_keyed besides int, float and str: float arrays of
+# this many dimensions.  A list of same-shape matrices reads as one array.
+VECTOR, MATRIX, MATRICES = 1, 2, 3
+
 
 def make_rng(seed, stream=0):
     """Counter-based generator keyed by (seed, stream).
@@ -80,13 +84,36 @@ def parse_value(src):
         raise ValueError(str(exc)) from exc
 
 
+def _typed(value, kind):
+    """value as kind: int, float, str, or a float array of kind dimensions;
+    ValueError for any other type and for a non-finite number."""
+    if kind is str:
+        if isinstance(value, str):
+            return value
+        raise ValueError("must be a string")
+    ndim = 0 if kind in (int, float) else kind
+    try:
+        arr = np.asarray(value)
+        ok = (arr.ndim == ndim and arr.dtype.kind in ("iu" if kind is int else "iuf")
+              and np.isfinite(arr).all())
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        names = {int: "an integer", float: "a finite number"}
+        raise ValueError("must be " + names.get(kind, f"a {ndim}-D array of finite numbers"))
+    if kind is int:
+        return value
+    return float(value) if kind is float else np.asarray(arr, dtype=float)
+
+
 def read_keyed(text, header, keys, what):
-    """Scan text written by write_keyed into a dict of parsed values.
+    """Scan text written by write_keyed into a dict of typed values.
 
     The first non-blank line must be header; blank lines and `#` comments
     are skipped.  A value runs on across lines until its brackets balance,
-    so a stray `]` ends it early and fails as a bad literal.  Every key
-    must be one of keys and appear exactly once.
+    so a stray `]` ends it early and fails as a bad literal.  keys maps
+    every key to its kind (int, float, str, VECTOR, MATRIX or MATRICES);
+    each key must appear exactly once and hold a value of its kind.
     """
     first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     if first != header:
@@ -115,10 +142,11 @@ def read_keyed(text, header, keys, what):
         depth += line.count("[") - line.count("]")
         if depth <= 0:
             try:
-                entries[pending_key] = parse_value(" ".join(pending))
+                entries[pending_key] = _typed(parse_value(" ".join(pending)),
+                                              keys[pending_key])
             except ValueError as exc:
                 raise ModelFormatError(
-                    f"{what}: bad literal for key {pending_key!r}") from exc
+                    f"{what}: bad literal for key {pending_key!r}: {exc}") from exc
             pending_key = None
             pending = []
             depth = 0

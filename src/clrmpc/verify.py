@@ -14,7 +14,7 @@ import numpy as np
 
 from . import model, mpc, prediction, qpsolver, terminal
 from .errors import ModelFormatError, MpcInfeasible, SolverFailure
-from .utils import read_keyed, write_keyed
+from .utils import VECTOR, read_keyed, write_keyed
 
 RESIDUAL_TOL = 1e-6
 SAMPLE_TOL = 1e-7
@@ -22,18 +22,13 @@ INCLUSION_TOL = 1e-7
 
 REPORT_HEADER = "# verification report, toolkit text format v1"
 
-REPORT_KEYS = [
-    "farkas_negativity",
-    "farkas_equality",
-    "farkas_inequality",
-    "srf_samples",
-    "srf_failures",
-    "srf_worst_margin",
-    "lyapunov_samples",
-    "lyapunov_failures",
-    "lyapunov_worst_margin",
-    "valid",
-]
+REPORT_KEYS = {
+    "farkas_negativity": VECTOR, "farkas_equality": VECTOR,
+    "farkas_inequality": VECTOR, "srf_samples": int, "srf_failures": int,
+    "srf_worst_margin": float, "lyapunov_samples": int,
+    "lyapunov_failures": int, "lyapunov_worst_margin": float,
+    "valid": int,  # the verdict is written as 0 or 1
+}
 
 
 @dataclass
@@ -60,9 +55,7 @@ class VerificationReport:
 
     @property
     def valid(self):
-        clean = all(max(d.values()) <= RESIDUAL_TOL
-                    for d in self.farkas_residuals)
-        return (clean and self.srf_failures == 0
+        return (farkas_clean(self.farkas_residuals) and self.srf_failures == 0
                 and self.lyapunov_failures == 0)
 
 
@@ -82,31 +75,34 @@ def farkas_residuals(lam, inner_h, inner_rhs, outer_h, outer_rhs):
     return {"negativity": neg, "equality": eq, "inequality": ineq}
 
 
+def farkas_clean(residuals):
+    """True when every residual of every vertex is within RESIDUAL_TOL."""
+    return all(max(d.values()) <= RESIDUAL_TOL for d in residuals)
+
+
 def _stacked_sets(cert, bundle, sys, w):
     """Current-step set (lifted with w) and the per-vertex successor maps."""
-    a_lp = bundle.h_xu @ bundle.s_mat
-    bt = bundle.b_stack - cert.tightenings
-    n_t, n_s = a_lp.shape
+    bt = bundle.tightened(cert.tightenings)
+    n_t, n_s = bundle.a_lp.shape
     m_w = w.h.shape[0]
     inner_h = np.zeros((n_t + m_w, n_s + w.dim))
-    inner_h[:n_t, :n_s] = a_lp
+    inner_h[:n_t, :n_s] = bundle.a_lp
     inner_h[n_t:, n_s:] = w.h
     inner_rhs = np.concatenate([bt, w.b])
-    outers = []
-    for j in range(sys.n_delta):
-        c_k, c_m = prediction.build_gain_matrices(
-            bundle, cert.gains[j], sys, j)
-        outers.append(bundle.h_xu @ np.hstack([c_k, c_m]))
+    outers = [prediction.successor_rows(bundle, cert.gains[j], sys, j)
+              for j in range(sys.n_delta)]
     return inner_h, inner_rhs, outers, bt
 
 
 def check_farkas(cert, bundle, sys, w):
-    """Re-evaluate the stored multipliers against freshly built maps."""
+    """Re-evaluate the stored multipliers against freshly built maps.
+
+    This is the one Farkas check: synthesis gates its certificate on it
+    too, with farkas_clean.
+    """
     inner_h, inner_rhs, outers, bt = _stacked_sets(cert, bundle, sys, w)
-    out = []
-    for lam, outer_h in zip(cert.multipliers, outers):
-        out.append(farkas_residuals(lam, inner_h, inner_rhs, outer_h, bt))
-    return out
+    return [farkas_residuals(lam, inner_h, inner_rhs, outer_h, bt)
+            for lam, outer_h in zip(cert.multipliers, outers)]
 
 
 @dataclass
@@ -210,13 +206,12 @@ def srf_monte_carlo(cert, bundle, sys, w, samples, rng):
     """
     if int(samples) < 1:
         raise ValueError("samples must be positive")
-    a_lp = bundle.h_xu @ bundle.s_mat
-    bt = bundle.b_stack - cert.tightenings
+    bt = bundle.tightened(cert.tightenings)
     pool = []
     failures = 0
     worst = -np.inf
     for _ in range(int(samples)):
-        s = _sample_point(a_lp, bt, rng, pool)
+        s = _sample_point(bundle.a_lp, bt, rng, pool)
         w_vec = model.sample_disturbance(w, rng)
         cands = [prediction.candidate_inputs(bundle, g, sys, s, w_vec)
                  for g in cert.gains]
@@ -330,8 +325,7 @@ def verify_certificate(cert, sys, w, c, srf_samples, lyapunov_samples, rng):
     bundle = ctrl.bundle
     residuals = check_farkas(cert, bundle, sys, w)
     inclusions = shifted_set_inclusions(cert, bundle, sys, w)
-    clean = all(max(d.values()) <= RESIDUAL_TOL for d in residuals)
-    if clean and not all(r.included for r in inclusions):
+    if farkas_clean(residuals) and not all(r.included for r in inclusions):
         raise SolverFailure(
             "multiplier certificate and support-LP inclusion disagree")
     srf = srf_monte_carlo(cert, bundle, sys, w, srf_samples, rng)
@@ -384,23 +378,22 @@ def write_report(report):
 def read_report(text):
     """Parse a serialized report; the stored verdict must match the data."""
     entries = read_keyed(text, REPORT_HEADER, REPORT_KEYS, "report")
-    neg = list(entries["farkas_negativity"])
-    eq = list(entries["farkas_equality"])
-    ineq = list(entries["farkas_inequality"])
+    neg = entries["farkas_negativity"].tolist()
+    eq = entries["farkas_equality"].tolist()
+    ineq = entries["farkas_inequality"].tolist()
     if not len(neg) == len(eq) == len(ineq):
         raise ModelFormatError("report: residual lists disagree in length")
     report = VerificationReport(
         farkas_residuals=[
-            {"negativity": float(a), "equality": float(b),
-             "inequality": float(c)}
+            {"negativity": a, "equality": b, "inequality": c}
             for a, b, c in zip(neg, eq, ineq)],
-        srf_samples=int(entries["srf_samples"]),
-        srf_failures=int(entries["srf_failures"]),
-        srf_worst_margin=float(entries["srf_worst_margin"]),
-        lyapunov_samples=int(entries["lyapunov_samples"]),
-        lyapunov_failures=int(entries["lyapunov_failures"]),
-        lyapunov_worst_margin=float(entries["lyapunov_worst_margin"]),
+        srf_samples=entries["srf_samples"],
+        srf_failures=entries["srf_failures"],
+        srf_worst_margin=entries["srf_worst_margin"],
+        lyapunov_samples=entries["lyapunov_samples"],
+        lyapunov_failures=entries["lyapunov_failures"],
+        lyapunov_worst_margin=entries["lyapunov_worst_margin"],
     )
-    if bool(entries["valid"]) != report.valid:
+    if entries["valid"] != report.valid:
         raise ModelFormatError("report: stored verdict contradicts the data")
     return report

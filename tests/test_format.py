@@ -66,6 +66,49 @@ def test_write_read_write_is_byte_identical(kind, tmp_path):
     assert rewrite(text) == text
 
 
+# kind -> (key, wrongly typed values for it)
+WRONG = {
+    "model": ("n_x", ["null", "[4]"]),
+    "certificate": ("alpha", ["[1]", "null"]),
+    "report": ("srf_samples", ["'400'", "400.0"]),
+    "stats": ("mode", ["1"]),
+}
+FILES = {"model": "model.txt", "certificate": "certificate.txt",
+         "report": "report.txt", "stats": "stats.txt"}
+
+
+def _retyped(text, key, value):
+    line = next(ln for ln in text.splitlines() if ln.startswith(key + " = "))
+    return text.replace(line, f"{key} = {value}")
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_wrongly_typed_value_names_its_key(kind, tmp_path):
+    make, rewrite, _ = KINDS[kind]
+    key, values = WRONG[kind]
+    for value in values:
+        with pytest.raises(ModelFormatError, match=f"key '{key}'"):
+            rewrite(_retyped(make(tmp_path), key, value))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_clr_mpc_exits_1_on_a_wrongly_typed_value(kind, tmp_path, capsys):
+    texts = {k: make(tmp_path) for k, (make, _, _) in KINDS.items()}
+    key, values = WRONG[kind]
+    texts[kind] = _retyped(texts[kind], key, values[0])
+    for k, text in texts.items():
+        (tmp_path / FILES[k]).write_text(text)
+    if kind in ("model", "certificate"):
+        argv = ["verify", "--model", str(tmp_path / "model.txt"),
+                "--certificate", str(tmp_path / "certificate.txt"),
+                "--out", str(tmp_path / "out"),
+                "--srf-samples", "1", "--lyap-samples", "1"]
+    else:  # report reads the certificate, the report, then the stats
+        argv = ["report", "--dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_wrong_or_missing_header_is_rejected(kind, tmp_path):
     make, rewrite, header = KINDS[kind]

@@ -1,7 +1,8 @@
 """Module boundaries of the package, read from its source with ast.
 
 No module reaches into another package module's underscore names, so
-each decision has one owner, and the verifier imports neither the
+each decision has one owner; the imports form no cycle, prediction
+imports nothing but errors, and the verifier imports neither the
 synthesis it checks nor the command line front end.
 """
 
@@ -67,6 +68,19 @@ def test_verify_is_independent_of_synthesis_and_cli():
     imported = _imported(_tree("verify"))
     assert "mpc" in imported
     assert not imported & {"synthesis", "cli"}
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {name: _imported(_tree(name)) & set(MODULES) for name in MODULES}
+    done = set()
+    while len(done) < len(graph):
+        ready = {m for m in graph if m not in done and graph[m] <= done}
+        assert ready, f"an import cycle blocks {sorted(set(graph) - done)}"
+        done |= ready
+
+
+def test_prediction_imports_only_errors():
+    assert _imported(_tree("prediction")) == {"errors"}
 
 
 def test_checker_sees_cross_module_private_reads():

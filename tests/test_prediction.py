@@ -109,6 +109,55 @@ def test_bundle_cache_and_readonly():
         bundle.s_mat[0, 0] = 99.0
 
 
+def test_plan_polytope_products_are_read_only_and_exact():
+    sys, w, c = model.build_msd()
+    y = make_rng(3).normal(size=(12, 4))
+    bundle = prediction.build_bundle(sys, c, y=y, z=np.ones(12), n=5)
+    for prod, right in ((bundle.a_lp, bundle.s_mat), (bundle.a_x, bundle.s_x),
+                        (bundle.a_u, bundle.s_u)):
+        assert np.array_equal(prod, bundle.h_xu @ right)
+        with pytest.raises(ValueError):
+            prod[0, 0] = 99.0
+
+
+def test_stage_rows_are_the_model_rows():
+    sys, w, c = model.build_msd()
+    bundle = prediction.build_bundle(sys, c, y=np.ones((6, 4)), z=np.ones(6), n=3)
+    f, g, b = bundle.stage_rows()
+    assert np.array_equal(f, c.f)
+    assert np.array_equal(g, c.g)
+    assert np.array_equal(b, c.b)
+
+
+def test_tightened_allows_rounding_only():
+    bundle = prediction.build_bundle(scalar_system(), scalar_constraints(),
+                                     y=[[1.0]], z=[1.0], n=2)
+    t = 0.5 * bundle.b_stack
+    assert np.array_equal(bundle.tightened(t), bundle.b_stack - t)
+    t = bundle.b_stack.copy()
+    t[1] += 5e-13
+    assert bundle.tightened(t).min() < 0.0
+    t[1] += 1e-9
+    with pytest.raises(ValueError, match="exceed"):
+        bundle.tightened(t)
+
+
+def test_successor_rows_follow_the_literal_step():
+    sys, bundle, gains, rng = random_instance(4, 3, 2, 2, 2, 4)
+    vertex = 1
+    rows = prediction.successor_rows(bundle, gains, sys, vertex)
+    assert rows.shape == (bundle.n_t, bundle.n_s + sys.n_w)
+    s = rng.normal(size=bundle.n_s)
+    w = rng.normal(size=sys.n_w)
+    x, u0 = s[:3], s[3:5]
+    q = sys.d_x @ x + sys.d_u @ u0 + sys.d_w @ w
+    x_next = (sys.a @ x + sys.b @ u0 + sys.b_p @ (sys.deltas[vertex] @ q)
+              + sys.b_w @ w)
+    u_next = prediction.candidate_inputs(bundle, gains, sys, s, w)
+    literal = bundle.h_xu @ bundle.s_mat @ np.concatenate([x_next, u_next])
+    assert np.allclose(rows @ np.concatenate([s, w]), literal, atol=1e-10)
+
+
 def test_vertex_out_of_range():
     sys = scalar_system()
     bundle = prediction.build_bundle(sys, scalar_constraints(), y=[[1.0]],

@@ -107,7 +107,7 @@ def test_violation_threshold_follows_solver_tolerance(
         scalar_certain_controller, monkeypatch):
     # an accepted online QP may overshoot a row by ACCEPT_TOL (1 + max|b|)
     ctrl, sys, w, c = scalar_certain_controller
-    f, g, b = sim._stage_rows(ctrl)
+    f, g, b = ctrl.bundle.stage_rows()
     assert (f[2, 0], g[2, 0]) == (0.0, 1.0)  # row 2 is u <= b[2]
     tol = qpsolver.ACCEPT_TOL * (1.0 + np.abs(b).max())
     assert tol > 1e-7

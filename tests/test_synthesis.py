@@ -208,7 +208,7 @@ def test_multiplier_step_solves_each_plan_lp_once(monkeypatch):
         # the reused duals are exactly those of a fresh solve at the final gains
         bt = bundle.b_stack - t
         for j, (g, lam) in enumerate(zip(step.gains, step.multipliers)):
-            rhs = synthesis._successor_rows(bundle, sys, j, g)
+            rhs = prediction.successor_rows(bundle, g, sys, j)
             ref = np.zeros_like(lam)
             for r in range(bundle.n_t):
                 ref[r, :bundle.n_t] = synthesis._plan_support(

@@ -1,11 +1,12 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clrmpc import mpc, verify
+from clrmpc import model, mpc, synthesis, verify
 from clrmpc.errors import ModelFormatError
-from clrmpc.utils import make_rng
+from clrmpc.utils import make_rng, sha256_hex
 from oracles import polytope_vertices
 
 
@@ -177,6 +178,19 @@ def test_verify_certificate_report(scalar_uncertain_controller):
     assert back.farkas_residuals == report.farkas_residuals
     assert back.srf_worst_margin == report.srf_worst_margin
     assert back.lyapunov_worst_margin == report.lyapunov_worst_margin
+
+
+def test_report_of_committed_certificate_is_pinned():
+    # the Farkas check, the inclusions, the sampling and the online solve,
+    # byte for byte; a change that moves the online solve in its last
+    # digits updates this hash and says so
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "msd_certificate.txt"
+    sys_m, w_m, c_m = model.build_msd()
+    cert = synthesis.read_certificate(committed.read_text())
+    report = verify.verify_certificate(cert, sys_m, w_m, c_m, srf_samples=400,
+                                       lyapunov_samples=8, rng=make_rng(1))
+    assert sha256_hex(verify.write_report(report)) == (
+        "96f220ab2a85b62e8a87d4e38362b03fc566c56d3a0943bb30bb2b189b0074cc")
 
 
 def test_report_rejects_tampered_verdict(scalar_uncertain_controller):
