@@ -2,7 +2,7 @@
 
 Four subcommands cover the whole pipeline on files in an output
 directory.  Exit codes are a stable contract: 2 infeasible initial
-guess, 3 solver failure, 4 failed verification, 5 certificate
+guess, 3 synthesis or solver failure, 4 failed verification, 5 certificate
 and model fingerprints disagree, 6 closed-loop infeasibility, 1 other
 errors.  All artifacts are deterministic for a given seed; wall-clock
 measurements live only in the log files.
@@ -27,12 +27,15 @@ from .utils import make_rng, parse_value, read_keyed, write_keyed
 from .errors import (
     FingerprintMismatch,
     Infeasible,
+    InfeasibleLmi,
     InitialGuessInfeasible,
     MissingArtifacts,
     ModelFormatError,
     MpcInfeasible,
     NoConvergence,
+    NoProgress,
     SolverFailure,
+    Unstabilizable,
 )
 
 EXIT_GUESS = 2
@@ -395,7 +398,8 @@ def main(argv=None):
     except InitialGuessInfeasible as err:
         print(f"initial guess infeasible: {err}", file=sys.stderr)
         return EXIT_GUESS
-    except (Infeasible, NoConvergence, SolverFailure) as err:
+    except (Infeasible, InfeasibleLmi, NoConvergence, NoProgress,
+            SolverFailure, Unstabilizable) as err:
         print(f"synthesis failed: {err}", file=sys.stderr)
         return EXIT_SYNTH
     except FingerprintMismatch as err:

@@ -80,22 +80,17 @@ def make_controller(sys, w, c, cert):
     )
 
 
-def _check_state(ctrl, x):
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (ctrl.bundle.n_x,):
-        raise ValueError("state has wrong dimension")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("state has non-finite entries")
-    return x
-
-
 def solve_mpc(ctrl, x):
     """Solve the tightened nominal QP at state x and return the plan.
 
     Infeasibility is a hard error: the state is outside the certified
     region and no input is returned, clipped, or improvised.
     """
-    x = _check_state(ctrl, x)
+    x = np.asarray(x, dtype=float).ravel()
+    if x.shape != (ctrl.bundle.n_x,):
+        raise ValueError("state has wrong dimension")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("state has non-finite entries")
     prob = qpsolver.QpProblem(
         h=ctrl.hess,
         f=ctrl.f_map @ x,
@@ -121,11 +116,3 @@ def solve_mpc(ctrl, x):
         states=states,
         inputs=inputs,
     )
-
-
-def roa_membership(ctrl, x):
-    """True iff the tightened QP is feasible at x; no optimization."""
-    x = _check_state(ctrl, x)
-    feasible, _, _ = qpsolver.check_feasible(
-        ctrl.a_in, ctrl.bt - ctrl.g_map @ x)
-    return bool(feasible)

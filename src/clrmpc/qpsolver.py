@@ -416,8 +416,7 @@ def solve_qp(prob):
     """
     sol = _interior_solve(prob)
     if sol.status != OPTIMAL:
-        feasible, _, _ = _phase1(prob.a_in, prob.b_in, prob.a_eq, prob.b_eq)
-        if not feasible:
+        if not _phase1(prob.a_in, prob.b_in, prob.a_eq, prob.b_eq):
             sol.status = INFEASIBLE
         elif float(np.abs(prob.h).max(initial=0.0)) == 0.0 and _has_ray(prob):
             sol.status = UNBOUNDED
@@ -433,7 +432,8 @@ def linear_program(f, a_in=None, b_in=None, a_eq=None, b_eq=None):
 
 
 def _phase1(a_in, b_in, a_eq, b_eq):
-    """min gamma >= 0 with a_in x <= b_in + gamma.  Always feasible."""
+    """True iff a_in x <= b_in, a_eq x = b_eq is feasible: the least
+    gamma >= 0 with a_in x <= b_in + gamma is at most 1e-7 (scaled)."""
     n = a_in.shape[1] if a_in.size else (a_eq.shape[1] if a_eq.size else 0)
     mi = a_in.shape[0]
     me = a_eq.shape[0]
@@ -442,7 +442,7 @@ def _phase1(a_in, b_in, a_eq, b_eq):
         if np.abs(a_eq @ xls - b_eq).max(initial=0.0) > ACCEPT_TOL * (
             1.0 + np.abs(b_eq).max(initial=0.0)
         ) * (1.0 + np.abs(xls).max(initial=0.0)):
-            return False, float("inf"), None
+            return False
     f = np.zeros(n + 1)
     f[-1] = 1.0
     g = np.zeros((mi + 1, n + 1))
@@ -457,9 +457,7 @@ def _phase1(a_in, b_in, a_eq, b_eq):
     )
     if status != OPTIMAL:
         raise SolverFailure("phase-1 slack minimization stalled")
-    slack = float(x[-1])
-    feasible = slack <= ACCEPT_TOL * (1.0 + float(np.abs(b_in).max(initial=0.0)))
-    return feasible, slack, x[:n]
+    return float(x[-1]) <= ACCEPT_TOL * (1.0 + float(np.abs(b_in).max(initial=0.0)))
 
 
 def _has_ray(prob):
@@ -475,21 +473,3 @@ def _has_ray(prob):
                                     b_eq=prob.b_eq * 0.0 if me else None))
     scale = 1.0 + float(np.abs(prob.f).max(initial=0.0))
     return sol.status == OPTIMAL and sol.objective < -1e-8 * scale
-
-
-def check_feasible(a_in, b_in, a_eq=None, b_eq=None):
-    """Phase-1 feasibility test for a_in x <= b_in, a_eq x = b_eq.
-
-    Returns (feasible, slack, x) where slack is the minimized uniform
-    relaxation of the inequalities; feasible iff slack <= 1e-7 scaled.
-    Raises SolverFailure when the underlying LP stalls.
-    """
-    a_in = np.asarray(a_in, dtype=float)
-    b_in = np.asarray(b_in, dtype=float).ravel()
-    if a_eq is not None:
-        a_eq = np.asarray(a_eq, dtype=float)
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-    else:
-        a_eq = _empty(a_in.shape[1])
-        b_eq = np.zeros(0)
-    return _phase1(a_in, b_in, a_eq, b_eq)

@@ -148,22 +148,6 @@ def _pack(sys, states, inputs, dists, weights_log, costs, values,
     )
 
 
-def replay_states(sys, traj):
-    """Re-propagate the recorded run; independent check of the logs.
-
-    Only the recorded inputs, disturbances, and hull weights are used;
-    the stored states are recomputed from scratch.
-    """
-    x = traj.states[0].copy()
-    out = [x.copy()]
-    for k in range(traj.inputs.shape[0]):
-        delta = sum(w_j * d_j for w_j, d_j
-                    in zip(traj.delta_weights[k], sys.deltas))
-        x = sys.step(x, traj.inputs[k], traj.disturbances[k], delta)
-        out.append(x.copy())
-    return np.asarray(out)
-
-
 def run_batch(ctrl, sys, w, x0, steps, runs, seed, mode=FIXED_DELTA,
               delta_schedule=None):
     """Independent rollouts keyed by run index; runs cut short by an

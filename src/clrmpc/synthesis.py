@@ -46,6 +46,7 @@ MAX_ROUNDS = 60
 STALL_LIMIT = 15
 POOL_CAP = 4000
 CUT_FEAS_TOL = 1e-9
+CONVERGENCE_TOL = 1e-6
 GUESS_SCALES = (1.0, 2.0, 4.0, 8.0)
 CERT_HEADER = "# robust mpc certificate, toolkit text format v1"
 
@@ -60,15 +61,14 @@ class SynthesisConfig:
     epsilon: float = 0.1
     init_scale: float = 1.7
     max_alternations: int = 20
-    convergence_tol: float = 1e-6
     q_x: np.ndarray = None
     q_u: np.ndarray = None
 
     def __post_init__(self):
         if self.n < 1 or self.k_prime < 0 or self.max_alternations < 1:
             raise ValueError("n >= 1, k_prime >= 0, max_alternations >= 1 required")
-        if self.mu <= 0 or self.epsilon <= 0 or self.convergence_tol <= 0:
-            raise ValueError("mu, epsilon, convergence_tol must be positive")
+        if self.mu <= 0 or self.epsilon <= 0:
+            raise ValueError("mu and epsilon must be positive")
         if self.init_scale < 1.0:
             raise ValueError("init_scale must be at least 1")
 
@@ -82,7 +82,6 @@ class SynthesisConfig:
 class MultiplierStep:
     gains: list
     multipliers: list
-    max_residual: float
     sigmas: np.ndarray
     pools: list
 
@@ -378,7 +377,7 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
     """Best gains and Farkas multipliers at a fixed tightening vector.
 
     Returns the per-vertex gains, the recovered multipliers, and the
-    worst containment slack sigma over all vertices; sigma <= 0 means
+    per-vertex worst containment slacks sigmas; sigmas.max() <= 0 means
     the tightened set is recursively feasible as it stands.  Every
     plan-support LP of the step shares bundle.a_lp and bt, so one memo
     keyed by the direction serves all rounds and vertices and ends with
@@ -405,7 +404,6 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
     return MultiplierStep(
         gains=gains,
         multipliers=multipliers,
-        max_residual=float(sigmas.max()),
         sigmas=sigmas,
         pools=[r[3] for r in results],
     )
@@ -512,8 +510,9 @@ def synthesize(sys, w, c, cfg, trace=None):
             continue
         ms = solve_multiplier_step(bundle, sys, w, t_try, warm_gains=warm,
                                    target=0.0)
-        best_sigma = min(best_sigma, ms.max_residual)
-        if ms.max_residual <= SIGMA_GATE:
+        sigma = float(ms.sigmas.max())
+        best_sigma = min(best_sigma, sigma)
+        if sigma <= SIGMA_GATE:
             step = ms
             t_cur = t_try
             break
@@ -538,7 +537,7 @@ def synthesize(sys, w, c, cfg, trace=None):
         t_cur, alpha, objective = tstep.tightenings, tstep.alpha, tstep.objective
         if trace is not None:
             trace.append(objective)
-        if improvement < cfg.convergence_tol or it == cfg.max_alternations - 1:
+        if improvement < CONVERGENCE_TOL or it == cfg.max_alternations - 1:
             break
         ms = solve_multiplier_step(bundle, sys, w, t_cur, warm_gains=gains,
                                    pools=pools)

@@ -19,6 +19,7 @@ from .utils import VECTOR, read_keyed, write_keyed
 RESIDUAL_TOL = 1e-6
 SAMPLE_TOL = 1e-7
 INCLUSION_TOL = 1e-7
+EXTRA_DECOMPOSITIONS = 3
 
 REPORT_HEADER = "# verification report, toolkit text format v1"
 
@@ -105,20 +106,12 @@ def check_farkas(cert, bundle, sys, w):
             for lam, outer_h in zip(cert.multipliers, outers)]
 
 
-@dataclass
-class InclusionResult:
-    included: bool
-    witness: np.ndarray
-    empty_inner: bool = False
-
-
-def contains(outer_h, outer_rhs, inner_h, inner_rhs, tol=INCLUSION_TOL):
+def contains(outer_h, outer_rhs, inner_h, inner_rhs):
     """Decide polytope inclusion by support LPs, one per outer row.
 
     Inclusion holds iff every outer row's support over the inner set
-    stays below its bound.  The first failing row yields a witness point
-    inside the inner set but outside the outer one.  An empty inner set
-    makes the inclusion vacuously true and is flagged.
+    stays below its bound.  An empty inner set makes the inclusion
+    vacuously true; the solver certifies it as an infeasible support LP.
     """
     outer_h = np.asarray(outer_h, dtype=float)
     outer_rhs = np.asarray(outer_rhs, dtype=float)
@@ -126,23 +119,17 @@ def contains(outer_h, outer_rhs, inner_h, inner_rhs, tol=INCLUSION_TOL):
     inner_rhs = np.asarray(inner_rhs, dtype=float)
     if outer_h.shape[1] != inner_h.shape[1]:
         raise ValueError("polytopes live in different ambient dimensions")
-    feasible, _, _ = qpsolver.check_feasible(inner_h, inner_rhs)
-    if not feasible:
-        return InclusionResult(included=True, witness=None, empty_inner=True)
-    for r in range(outer_h.shape[0]):
-        row = outer_h[r]
-        if not np.any(row):
-            if outer_rhs[r] < -tol:
-                return InclusionResult(included=False, witness=None)
-            continue
+    for row, bound in zip(outer_h, outer_rhs):
         sol = qpsolver.linear_program(-row, a_in=inner_h, b_in=inner_rhs)
+        if sol.status == qpsolver.INFEASIBLE:
+            return True
         if sol.status == qpsolver.UNBOUNDED:
-            return InclusionResult(included=False, witness=None)
+            return False
         if sol.status != qpsolver.OPTIMAL:
             raise SolverFailure("support LP ended with " + sol.status)
-        if row @ sol.x > outer_rhs[r] + tol:
-            return InclusionResult(included=False, witness=sol.x.copy())
-    return InclusionResult(included=True, witness=None)
+        if row @ sol.x > bound + INCLUSION_TOL:
+            return False
+    return True
 
 
 def shifted_set_inclusions(cert, bundle, sys, w):
@@ -230,7 +217,7 @@ def srf_monte_carlo(cert, bundle, sys, w, samples, rng):
                        worst_margin=worst)
 
 
-def _decompositions(sys, delta, tau, rng, extra=3):
+def _decompositions(sys, delta, tau, rng):
     """The drawn hull weights plus random alternative ones for the same
     matrix, found by LPs with random objectives over the weight polytope."""
     out = [np.asarray(tau, dtype=float)]
@@ -242,7 +229,7 @@ def _decompositions(sys, delta, tau, rng, extra=3):
         np.ones((1, n_d)),
     ])
     b_eq = np.concatenate([np.asarray(delta, dtype=float).ravel(), [1.0]])
-    for _ in range(extra):
+    for _ in range(EXTRA_DECOMPOSITIONS):
         sol = qpsolver.linear_program(rng.standard_normal(n_d),
                                       a_in=-np.eye(n_d), b_in=np.zeros(n_d),
                                       a_eq=a_eq, b_eq=b_eq)
@@ -269,7 +256,7 @@ def _boundary_scale(ctrl, direction):
     return float(sol.x[-1])
 
 
-def lyapunov_check(cert, ctrl, sys, w, samples, rng):
+def lyapunov_check(ctrl, sys, w, samples, rng):
     """Sampled one-step decrease of the online optimal value.
 
     The certified inequality bounds the value increase by the disturbance
@@ -280,10 +267,10 @@ def lyapunov_check(cert, ctrl, sys, w, samples, rng):
     """
     if int(samples) < 1:
         raise ValueError("samples must be positive")
-    bundle = ctrl.bundle
+    bundle, cert = ctrl.bundle, ctrl.certificate
     q_s = terminal.stack_cost(bundle, cert.q_x, cert.q_u, cert.cost.q_n)
-    c_m_vertex = [cw + bundle.s_u @ (g.m_gains @ sys.b_w)
-                  for cw, g in zip(bundle.c_w, cert.gains)]
+    c_m_vertex = [prediction.build_gain_matrices(bundle, g, sys, j)[1]
+                  for j, g in enumerate(cert.gains)]
     growth = 1.0 + 1.0 / cert.cost.epsilon
     failures = 0
     worst = -np.inf
@@ -325,11 +312,11 @@ def verify_certificate(cert, sys, w, c, srf_samples, lyapunov_samples, rng):
     bundle = ctrl.bundle
     residuals = check_farkas(cert, bundle, sys, w)
     inclusions = shifted_set_inclusions(cert, bundle, sys, w)
-    if farkas_clean(residuals) and not all(r.included for r in inclusions):
+    if farkas_clean(residuals) and not all(inclusions):
         raise SolverFailure(
             "multiplier certificate and support-LP inclusion disagree")
     srf = srf_monte_carlo(cert, bundle, sys, w, srf_samples, rng)
-    lyap = lyapunov_check(cert, ctrl, sys, w, lyapunov_samples, rng)
+    lyap = lyapunov_check(ctrl, sys, w, lyapunov_samples, rng)
     return VerificationReport(
         farkas_residuals=residuals,
         srf_samples=srf.samples,
@@ -339,21 +326,6 @@ def verify_certificate(cert, sys, w, c, srf_samples, lyapunov_samples, rng):
         lyapunov_failures=lyap.failures,
         lyapunov_worst_margin=lyap.worst_margin,
     )
-
-
-def audit(report, runs):
-    """Cross-check sampled theory against simulation practice.
-
-    A valid certificate with recorded constraint violations contradicts
-    the guarantee the certificate encodes; the contradictions are
-    returned so the caller can fail loudly.
-    """
-    out = []
-    if report.valid:
-        for i, r in enumerate(runs):
-            if r.violations:
-                out.append((i, r.violations))
-    return out
 
 
 def write_report(report):

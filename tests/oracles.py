@@ -3,7 +3,8 @@
 Nothing here shares code paths with the package solvers: the QP oracle
 enumerates active sets and solves exact KKT systems, the polytope oracle
 enumerates vertices from facet intersections.  Both are exponential and
-meant for tiny instances.
+meant for tiny instances.  The replay re-propagates a closed-loop run
+through the plant from its recorded inputs and draws.
 """
 
 import itertools
@@ -78,3 +79,19 @@ def polytope_vertices(hmat, hvec, tol=1e-8):
             if not any(np.linalg.norm(v - u) <= 1e-7 for u in verts):
                 verts.append(v)
     return verts
+
+
+def replay_states(sys, traj):
+    """Re-propagate a recorded closed-loop run from its logs alone.
+
+    Only the recorded inputs, disturbances and hull weights are used;
+    the stored states are recomputed from scratch.
+    """
+    x = traj.states[0].copy()
+    out = [x.copy()]
+    for k in range(traj.inputs.shape[0]):
+        delta = sum(w_j * d_j for w_j, d_j
+                    in zip(traj.delta_weights[k], sys.deltas))
+        x = sys.step(x, traj.inputs[k], traj.disturbances[k], delta)
+        out.append(x.copy())
+    return np.asarray(out)

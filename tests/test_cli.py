@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from clrmpc import cli, model, mpc, sim, synthesis, verify
-from clrmpc.errors import SolverFailure
+from clrmpc.errors import (
+    InfeasibleLmi,
+    NoProgress,
+    SolverFailure,
+    Unstabilizable,
+)
 from conftest import _scalar_model
 
 SCALAR_FLAGS = ["--n", "3", "--kprime", "1", "--init-scale", "1.0"]
@@ -50,6 +55,19 @@ def test_synth_exit_on_infeasible_guess(tmp_path):
     code = cli.main(["synth", "--model", str(tmp_path / "bad.model"),
                      "--out", str(tmp_path / "out")] + SCALAR_FLAGS)
     assert code == cli.EXIT_GUESS
+
+
+@pytest.mark.parametrize("error", [NoProgress, InfeasibleLmi, Unstabilizable])
+def test_synth_exit_on_synthesis_failure(tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("no certificate")
+
+    monkeypatch.setattr(synthesis, "synthesize", fail)
+    write_scalar_model(tmp_path / "scalar.model")
+    code = cli.main(["synth", "--model", str(tmp_path / "scalar.model"),
+                     "--out", str(tmp_path / "out")] + SCALAR_FLAGS)
+    assert code == cli.EXIT_SYNTH
+    assert "synthesis failed: no certificate" in capsys.readouterr().err
 
 
 def test_verify_command_valid(pipeline_dir):

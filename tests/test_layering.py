@@ -3,7 +3,9 @@
 No module reaches into another package module's underscore names, so
 each decision has one owner; the imports form no cycle, prediction
 imports nothing but errors, and the verifier imports neither the
-synthesis it checks nor the command line front end.
+synthesis it checks nor the command line front end.  Every public
+function and class has a caller in the package or its scripts: what
+only the tests call lives in the tests.
 """
 
 import ast
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clrmpc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "clrmpc"
+SCRIPTS = ROOT / "scripts"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
@@ -54,6 +58,34 @@ def _private_uses(tree):
     return uses
 
 
+def _reads(tree, own=None):
+    """Package names a module reads, as "module.name": from-imports,
+    attributes of imported package modules and, inside module own, bare
+    names."""
+    aliases = _aliases(tree)
+    reads = {f"{module}.{a.name}" for module, names in _package_imports(tree)
+             if module for a in names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            reads.add(f"{aliases[node.value.id]}.{node.attr}")
+        elif own and isinstance(node, ast.Name):
+            reads.add(f"{own}.{node.id}")
+    return reads
+
+
+def _unread_public_names(modules, scripts):
+    """Public module-level functions and classes of {name: tree} that no
+    module in it and no script tree reads."""
+    reads = set().union(*(_reads(t, own=m) for m, t in modules.items()),
+                        *(_reads(t) for t in scripts))
+    defined = {f"{m}.{node.name}" for m, tree in modules.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    return sorted(defined - reads)
+
+
 def _tree(name):
     return ast.parse((PACKAGE / f"{name}.py").read_text(), filename=name)
 
@@ -92,3 +124,26 @@ def test_checker_sees_cross_module_private_reads():
         "model._format_value", "sim._pack", "synthesis._format_cert_value",
         "utils._MASK64"]
     assert _imported(tree) == {"model", "utils", "synthesis", "sim", "cli"}
+
+
+def test_every_public_name_has_a_package_caller():
+    modules = {p.stem: ast.parse(p.read_text(), filename=p.name)
+               for p in PACKAGE.glob("*.py")}
+    scripts = [ast.parse(p.read_text(), filename=p.name)
+               for p in SCRIPTS.glob("*.py")]
+    assert _unread_public_names(modules, scripts) == []
+
+
+def test_checker_sees_unread_public_names():
+    modules = {
+        "a": ast.parse("def used():\n    pass\ndef local():\n    pass\n"
+                       "def unread():\n    pass\nclass Imported:\n    pass\n"
+                       "class Orphan:\n    pass\ndef _private():\n    pass\n"
+                       "x = local()\n"),
+        "b": ast.parse("from . import a\nfrom .a import Imported\n"
+                       "def run():\n    return a.used()\n"),
+    }
+    scripts = [ast.parse("from clrmpc import b\nb.run()\n")]
+    assert _unread_public_names(modules, scripts) == ["a.Orphan", "a.unread"]
+    assert _unread_public_names(modules, []) == [
+        "a.Orphan", "a.unread", "b.run"]

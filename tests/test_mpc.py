@@ -18,7 +18,6 @@ def test_origin_solution_is_zero(msd_controller):
 
 def test_benchmark_state_feasible(msd_controller):
     ctrl, sys_m, w_m, c_m = msd_controller
-    assert mpc.roa_membership(ctrl, X0)
     sol = mpc.solve_mpc(ctrl, X0)
     assert sol.status == qpsolver.OPTIMAL
     assert sol.value > 0.0
@@ -96,7 +95,6 @@ def test_condensed_matches_multiple_shooting(msd_controller):
 def test_far_state_infeasible(msd_controller):
     ctrl, sys_m, w_m, c_m = msd_controller
     bad = np.array([50.0, 0.0, 0.0, 0.0])
-    assert not mpc.roa_membership(ctrl, bad)
     with pytest.raises(MpcInfeasible) as err:
         mpc.solve_mpc(ctrl, bad)
     assert np.allclose(err.value.state, bad)
@@ -112,18 +110,32 @@ def test_value_quadratic_lower_bound(msd_controller):
         assert sol.value >= lam * float(x @ x) - 1e-8
 
 
+def _phase1_feasible(ctrl, x):
+    """True when one LP relaxes the online rows at x uniformly by no more
+    than the solver's acceptance tolerance."""
+    b = ctrl.bt - ctrl.g_map @ x
+    m, n = ctrl.a_in.shape
+    cost = np.zeros(n + 1)
+    cost[-1] = 1.0
+    rows = np.block([[ctrl.a_in, -np.ones((m, 1))],
+                     [np.zeros((1, n)), -np.ones((1, 1))]])
+    sol = qpsolver.linear_program(cost, a_in=rows, b_in=np.append(b, 0.0))
+    assert sol.status == qpsolver.OPTIMAL
+    return sol.x[-1] <= qpsolver.ACCEPT_TOL * (1.0 + np.abs(b).max())
+
+
 def test_roa_boundary_bisection(msd_controller):
     # scale the benchmark start outward until the feasible set is left;
-    # the controller must agree with the membership test on both sides
+    # the controller must agree with a phase-1 LP on both sides
     ctrl, sys_m, w_m, c_m = msd_controller
     d = X0 / np.linalg.norm(X0)
     lo, hi = 0.0, 1.0
-    while mpc.roa_membership(ctrl, hi * d):
+    while _phase1_feasible(ctrl, hi * d):
         lo, hi = hi, 2.0 * hi
         assert hi < 1e6
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if mpc.roa_membership(ctrl, mid * d):
+        if _phase1_feasible(ctrl, mid * d):
             lo = mid
         else:
             hi = mid
@@ -150,8 +162,6 @@ def test_state_validation(msd_controller):
         mpc.solve_mpc(ctrl, np.zeros(3))
     with pytest.raises(ValueError):
         mpc.solve_mpc(ctrl, np.array([np.nan, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        mpc.roa_membership(ctrl, np.zeros(5))
 
 
 def test_scalar_certain_controller_origin(scalar_certain_controller):

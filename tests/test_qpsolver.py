@@ -11,7 +11,6 @@ from clrmpc.qpsolver import (
     UNBOUNDED,
     QpProblem,
     QpSolution,
-    check_feasible,
     linear_program,
     solve_qp,
 )
@@ -67,24 +66,25 @@ def test_unbounded_lp_detected():
     assert sol.status == UNBOUNDED
 
 
-def test_check_feasible_basic():
-    ok, slack, x = check_feasible(np.vstack([np.eye(2), -np.eye(2)]), [1, 1, 1, 1])
-    assert ok and slack <= 1e-7
-    bad, slack2, _ = check_feasible([[1.0], [-1.0]], [-2.0, 1.0])
-    assert not bad and slack2 > 0.4
+def test_lp_status_decides_feasibility():
+    # a zero objective leaves the status as the feasibility verdict
+    box = np.vstack([np.eye(2), -np.eye(2)])
+    ok = linear_program(np.zeros(2), a_in=box, b_in=[1, 1, 1, 1])
+    assert ok.status == OPTIMAL
+    assert (box @ ok.x <= 1.0 + 1e-7).all()
+    bad = linear_program([0.0], a_in=[[1.0], [-1.0]], b_in=[-2.0, 1.0])
+    assert bad.status == INFEASIBLE
 
 
-def test_check_feasible_with_equalities():
-    ok, _, x = check_feasible(
-        np.vstack([np.eye(2), -np.eye(2)]), [1, 1, 1, 1], a_eq=[[1.0, 1.0]], b_eq=[1.5]
-    )
-    assert ok
-    assert x[0] + x[1] == pytest.approx(1.5, abs=1e-6)
-    bad, _, _ = check_feasible(
-        np.vstack([np.eye(2), -np.eye(2)]), [1, 1, 1, 1],
-        a_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, 1.0],
-    )
-    assert not bad
+def test_lp_status_decides_feasibility_with_equalities():
+    box = np.vstack([np.eye(2), -np.eye(2)])
+    ok = linear_program(np.zeros(2), a_in=box, b_in=[1, 1, 1, 1],
+                        a_eq=[[1.0, 1.0]], b_eq=[1.5])
+    assert ok.status == OPTIMAL
+    assert ok.x[0] + ok.x[1] == pytest.approx(1.5, abs=1e-6)
+    bad = linear_program(np.zeros(2), a_in=box, b_in=[1, 1, 1, 1],
+                         a_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, 1.0])
+    assert bad.status == INFEASIBLE
 
 
 def test_determinism():

@@ -8,6 +8,8 @@ from clrmpc import mpc, qpsolver, sim
 from clrmpc.errors import MpcInfeasible, SolverFailure
 from clrmpc.utils import make_rng
 
+import oracles
+
 X0 = np.array([1.9, 0.5, -1.7, 1.7])
 
 
@@ -44,7 +46,7 @@ def test_record_lengths_and_replay(scalar_uncertain_controller):
         traj = sim.run_closed_loop(ctrl, sys, w, [0.5], 15, make_rng(3),
                                    mode=mode)
         assert traj.states.shape[0] == traj.inputs.shape[0] + 1
-        replayed = sim.replay_states(sys, traj)
+        replayed = oracles.replay_states(sys, traj)
         assert np.abs(replayed - traj.states).max() <= 1e-10
         again = sim.run_closed_loop(ctrl, sys, w, [0.5], 15, make_rng(3),
                                     mode=mode)
