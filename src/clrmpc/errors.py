@@ -52,9 +52,8 @@ class NoProgress(RuntimeError):
 class MpcInfeasible(RuntimeError):
     """The online QP is infeasible at the current state."""
 
-    def __init__(self, message, step=None, state=None):
+    def __init__(self, message, state=None):
         super().__init__(message)
-        self.step = step
         self.state = state
 
 

@@ -14,11 +14,21 @@ with d = s / z the scaling from the current slack/dual pair.  The system is
 positive definite when there are no equality rows (Cholesky), otherwise
 symmetric indefinite (LDL' with Bunch-Kaufman pivoting).  One step of
 iterative refinement keeps the direction usable when d is badly scaled.
+Every problem shape takes this one path; without inequality rows the
+complementarity measure is 0 and the loop is Newton's method on the
+equality KKT system.
+
+After the iteration a crossover solves the KKT system of the guessed
+active set.  A candidate point is accepted as exact only through
+_kkt_check, the one verdict: stationarity, every row, dual signs and
+complementarity, all at TARGET_TOL.
 
 Problems are declared infeasible only by evidence: a stalled iteration
 triggers a phase-1 slack minimization, and the problem is infeasible when
-the smallest achievable slack exceeds 1e-7 (scaled).  Everything is
-deterministic; identical input yields bit-identical output.
+the smallest achievable slack exceeds 1e-7 (scaled).  That LP and the
+unboundedness ray LP are QpProblems solved through the same entry as any
+other.  Everything is deterministic; identical input yields bit-identical
+output.
 """
 
 from dataclasses import dataclass
@@ -40,10 +50,6 @@ SIGMA = 0.1
 TARGET_TOL = 1e-9
 ACCEPT_TOL = 1e-7
 REG = 1e-10
-
-
-def _empty(n):
-    return np.zeros((0, n))
 
 
 @dataclass
@@ -71,13 +77,13 @@ class QpProblem:
         if np.abs(self.h - self.h.T).max(initial=0.0) > 1e-9 * scale:
             raise DimensionMismatch("h must be symmetric")
         if self.a_eq is None:
-            self.a_eq = _empty(n)
+            self.a_eq = np.zeros((0, n))
             self.b_eq = np.zeros(0)
         else:
             self.a_eq = np.asarray(self.a_eq, dtype=float)
             self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
         if self.a_in is None:
-            self.a_in = _empty(n)
+            self.a_in = np.zeros((0, n))
             self.b_in = np.zeros(0)
         else:
             self.a_in = np.asarray(self.a_in, dtype=float)
@@ -201,54 +207,53 @@ def _max_step(v, dv):
     return float(min(1.0, STEP_FRACTION * (-v[neg] / dv[neg]).min()))
 
 
-def _ipm(h, f, a_eq, b_eq, a_in, b_in):
-    """Core iteration. Returns (x, y, z, status, iters, residual_triplet)."""
-    n = f.shape[0]
-    me = a_eq.shape[0]
-    mi = a_in.shape[0]
-
+def _scales(prob):
+    """(primal, dual) tolerance scales: 1 + the largest right-hand side,
+    and 1 + the largest objective entry."""
     scale_p = 1.0 + max(
-        float(np.abs(b_eq).max(initial=0.0)), float(np.abs(b_in).max(initial=0.0))
+        float(np.abs(prob.b_eq).max(initial=0.0)),
+        float(np.abs(prob.b_in).max(initial=0.0)),
     )
     scale_d = 1.0 + max(
-        float(np.abs(f).max(initial=0.0)), float(np.abs(h).max(initial=0.0))
+        float(np.abs(prob.f).max(initial=0.0)), float(np.abs(prob.h).max(initial=0.0))
     )
+    return scale_p, scale_d
+
+
+def _objective(prob, x):
+    return 0.5 * float(x @ (prob.h @ x)) + float(prob.f @ x)
+
+
+def _ipm(prob, scale_p, scale_d):
+    """Core iteration. Returns (x, y, z, status, iters, residual_triplet)."""
+    h, f, a_eq, b_eq, a_in, b_in = (
+        prob.h, prob.f, prob.a_eq, prob.b_eq, prob.a_in, prob.b_in)
+    me = a_eq.shape[0]
+    mi = a_in.shape[0]
     reg = REG * scale_d
 
-    # equality-only problems collapse to a single saddle-point solve
-    if mi == 0:
-        x = np.zeros(n)
-        y = np.zeros(me)
-        for _ in range(3):
-            rd = h @ x + f + (a_eq.T @ y if me else 0.0)
-            re = a_eq @ x - b_eq
-            dx, dy = _solve_kkt(h, a_eq, -rd, -re, reg)
-            x = x + dx
-            y = y + dy
-        rd = float(np.abs(h @ x + f + (a_eq.T @ y if me else 0.0)).max(initial=0.0))
-        re = float(np.abs(a_eq @ x - b_eq).max(initial=0.0))
-        ok = rd <= ACCEPT_TOL * scale_d and re <= ACCEPT_TOL * scale_p
-        return x, y, np.zeros(0), OPTIMAL if ok else MAXITER, 1, (rd, re, 0.0)
-
-    if me:
-        x0, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-        x = x0
-    else:
-        x = np.zeros(n)
+    x = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0] if me else np.zeros(prob.n)
     y = np.zeros(me)
     s = np.maximum(1.0, b_in - a_in @ x)
     z = np.ones(mi)
 
+    def newton(rc):
+        # Newton direction of the KKT equations at the current iterate,
+        # with complementarity target s z = rc
+        r3 = -ri + rc / z
+        rhs_x = -rd + gd.T @ r3
+        dx, dy = _solve_kkt(hbar, a_eq, rhs_x, -re, reg)
+        return dx, dy, (a_in @ dx - r3) / d, -ri - a_in @ dx
+
     status = MAXITER
-    it = 0
     mu_hist = []
-    res = (np.inf, np.inf, np.inf)
     for it in range(1, MAX_ITER + 1):
         rd = h @ x + f + a_in.T @ z + (a_eq.T @ y if me else 0.0)
         re = a_eq @ x - b_eq if me else np.zeros(0)
         ri = a_in @ x + s - b_in
-        mu = float(s @ z) / mi
-        obj = 0.5 * float(x @ (h @ x)) + float(f @ x)
+        # without inequality rows there is no complementarity to reduce
+        mu = float(s @ z) / max(mi, 1)
+        obj = _objective(prob, x)
 
         nrd = float(np.abs(rd).max(initial=0.0))
         nre = float(np.abs(re).max(initial=0.0))
@@ -282,20 +287,9 @@ def _ipm(h, f, a_eq, b_eq, a_in, b_in):
         hbar = h + gd.T @ a_in
 
         # predictor: pure Newton on the KKT equations
-        rc = s * z
-        r3 = -ri + rc / z
-        rhs_x = -rd + gd.T @ r3
-        dx_a, _ = _solve_kkt(hbar, a_eq, rhs_x, -re, reg)
-        dz_a = (a_in @ dx_a - r3) / d
-        ds_a = -ri - a_in @ dx_a
-
+        _, _, dz_a, ds_a = newton(s * z)
         # corrector with fixed centering
-        rc = s * z + ds_a * dz_a - SIGMA * mu
-        r3 = -ri + rc / z
-        rhs_x = -rd + gd.T @ r3
-        dx, dy = _solve_kkt(hbar, a_eq, rhs_x, -re, reg)
-        dz = (a_in @ dx - r3) / d
-        ds = -ri - a_in @ dx
+        dx, dy, dz, ds = newton(s * z + ds_a * dz_a - SIGMA * mu)
         if not (np.isfinite(dx).all() and np.isfinite(ds).all()
                 and np.isfinite(dz).all()):
             status = MAXITER
@@ -312,33 +306,49 @@ def _ipm(h, f, a_eq, b_eq, a_in, b_in):
         if me:
             y = y + ad * dy
 
-    else:
-        it = MAX_ITER
-
     if status != OPTIMAL:
         # accept a stalled point that still meets the contract tolerance
         if (
             res[0] <= ACCEPT_TOL * scale_d
             and res[1] <= ACCEPT_TOL * scale_p
-            and res[2] <= ACCEPT_TOL * (1.0 + abs(0.5 * float(x @ (h @ x)) + float(f @ x)))
+            and res[2] <= ACCEPT_TOL * (1.0 + abs(_objective(prob, x)))
         ):
             status = OPTIMAL
     return x, y, z, status, it, res
 
 
-def _crossover(prob, x, y, z):
+def _kkt_check(prob, x, y, z, scale_p, scale_d):
+    """The verdict on a candidate primal-dual point (x, y, z).
+
+    Returns the residual triplet (stationarity, primal, complementarity)
+    when all four conditions hold at TARGET_TOL: stationarity, every
+    equality and inequality row, nonnegative inequality duals, and
+    complementarity; otherwise None.
+    """
+    rd = float(np.abs(prob.h @ x + prob.f + prob.a_in.T @ z
+                      + prob.a_eq.T @ y).max(initial=0.0))
+    re = float(np.abs(prob.a_eq @ x - prob.b_eq).max(initial=0.0))
+    ri = float((prob.a_in @ x - prob.b_in).max(initial=0.0))
+    if rd > TARGET_TOL * scale_d or max(re, ri) > TARGET_TOL * scale_p:
+        return None
+    if z.min(initial=0.0) < -TARGET_TOL * scale_d:
+        return None
+    comp = float(np.abs(z * (prob.b_in - prob.a_in @ x)).max(initial=0.0))
+    if comp > TARGET_TOL * scale_d * (1.0 + abs(_objective(prob, x))):
+        return None
+    return rd, max(re, ri), comp
+
+
+def _crossover(prob, x, y, z, scale_p, scale_d):
     """Jump from an interior point to the exact KKT point of its active set.
 
     The complementarity split of the interior solution guesses the active
     inequalities; the equality-constrained KKT system on that guess is
-    solved directly and the result is accepted only if it satisfies every
-    optimality condition, otherwise None is returned.
+    solved directly, and the result is returned as (x, y, z, residuals)
+    only if it passes _kkt_check, otherwise None.
     """
     n = prob.n
     me = prob.a_eq.shape[0]
-    mi = prob.a_in.shape[0]
-    if mi == 0:
-        return None
     slack = prob.b_in - prob.a_in @ x
     active = np.flatnonzero(z >= slack)
     if active.size > 3 * n + me:
@@ -359,48 +369,27 @@ def _crossover(prob, x, y, z):
     sol = cur + delta
     xp = sol[:n]
     yp = sol[n:n + me]
-    lam = sol[n + me:]
-
-    scale_p = 1.0 + max(
-        float(np.abs(prob.b_eq).max(initial=0.0)),
-        float(np.abs(prob.b_in).max(initial=0.0)),
-    )
-    scale_d = 1.0 + max(
-        float(np.abs(prob.f).max(initial=0.0)), float(np.abs(prob.h).max(initial=0.0))
-    )
-    zp = np.zeros(mi)
-    zp[active] = lam
-    rd = float(np.abs(prob.h @ xp + prob.f + prob.a_in.T @ zp
-                      + (prob.a_eq.T @ yp if me else 0.0)).max(initial=0.0))
-    re = float(np.abs(prob.a_eq @ xp - prob.b_eq).max(initial=0.0)) if me else 0.0
-    ri = float((prob.a_in @ xp - prob.b_in).max(initial=0.0))
-    if rd > TARGET_TOL * scale_d or re > TARGET_TOL * scale_p or ri > TARGET_TOL * scale_p:
-        return None
-    if lam.size and lam.min() < -TARGET_TOL * scale_d:
-        return None
-    obj_new = 0.5 * float(xp @ (prob.h @ xp)) + float(prob.f @ xp)
-    comp = float(np.abs(zp * (prob.b_in - prob.a_in @ xp)).max(initial=0.0))
-    if comp > TARGET_TOL * scale_d * (1.0 + abs(obj_new)):
-        return None
-    return xp, yp, np.maximum(zp, 0.0), (rd, max(re, max(ri, 0.0)), 0.0)
+    zp = np.zeros(prob.a_in.shape[0])
+    zp[active] = sol[n + me:]
+    res = _kkt_check(prob, xp, yp, zp, scale_p, scale_d)
+    return None if res is None else (xp, yp, zp, res)
 
 
 def _interior_solve(prob):
     """Interior point, then crossover to the exact solution of the active
     set's KKT system when it checks out; a non-optimal end is not diagnosed."""
-    x, y, z, status, it, res = _ipm(
-        prob.h, prob.f, prob.a_eq, prob.b_eq, prob.a_in, prob.b_in)
+    scale_p, scale_d = _scales(prob)
+    x, y, z, status, it, res = _ipm(prob, scale_p, scale_d)
     # a complete KKT certificate also rescues stalled-but-close points
-    polished = _crossover(prob, x, y, z)
+    polished = _crossover(prob, x, y, z, scale_p, scale_d)
     if polished is not None:
         x, y, z, res = polished
         status = OPTIMAL
-    obj = 0.5 * float(x @ (prob.h @ x)) + float(prob.f @ x)
     return QpSolution(
         x=x,
-        objective=obj,
+        objective=_objective(prob, x),
         eq_duals=y,
-        in_duals=np.maximum(z, 0.0) if z.size else z,
+        in_duals=np.maximum(z, 0.0),
         status=status,
         iterations=it,
         kkt_residual=float(max(res)),
@@ -416,7 +405,7 @@ def solve_qp(prob):
     """
     sol = _interior_solve(prob)
     if sol.status != OPTIMAL:
-        if not _phase1(prob.a_in, prob.b_in, prob.a_eq, prob.b_eq):
+        if not _phase1(prob):
             sol.status = INFEASIBLE
         elif float(np.abs(prob.h).max(initial=0.0)) == 0.0 and _has_ray(prob):
             sol.status = UNBOUNDED
@@ -431,10 +420,12 @@ def linear_program(f, a_in=None, b_in=None, a_eq=None, b_eq=None):
                               a_in=a_in, b_in=b_in))
 
 
-def _phase1(a_in, b_in, a_eq, b_eq):
-    """True iff a_in x <= b_in, a_eq x = b_eq is feasible: the least
-    gamma >= 0 with a_in x <= b_in + gamma is at most 1e-7 (scaled)."""
-    n = a_in.shape[1] if a_in.size else (a_eq.shape[1] if a_eq.size else 0)
+def _phase1(prob):
+    """True iff the constraint rows of prob admit a point: the least
+    gamma >= 0 with a_in x <= b_in + gamma, a_eq x = b_eq is at most 1e-7
+    (scaled)."""
+    n = prob.n
+    a_eq, b_eq, a_in, b_in = prob.a_eq, prob.b_eq, prob.a_in, prob.b_in
     mi = a_in.shape[0]
     me = a_eq.shape[0]
     if me:
@@ -449,27 +440,23 @@ def _phase1(a_in, b_in, a_eq, b_eq):
     g[:mi, :n] = a_in
     g[:mi, -1] = -1.0
     g[mi, -1] = -1.0
-    hvec = np.concatenate([b_in, [0.0]])
-    aeq = np.hstack([a_eq, np.zeros((me, 1))]) if me else None
-    x, yy, zz, status, it, res = _ipm(
-        np.zeros((n + 1, n + 1)), f, aeq if aeq is not None else _empty(n + 1),
-        b_eq if me else np.zeros(0), g, hvec
-    )
-    if status != OPTIMAL:
+    sol = _interior_solve(QpProblem(
+        h=np.zeros((n + 1, n + 1)), f=f,
+        a_eq=np.hstack([a_eq, np.zeros((me, 1))]), b_eq=b_eq,
+        a_in=g, b_in=np.concatenate([b_in, [0.0]])))
+    if sol.status != OPTIMAL:
         raise SolverFailure("phase-1 slack minimization stalled")
-    return float(x[-1]) <= ACCEPT_TOL * (1.0 + float(np.abs(b_in).max(initial=0.0)))
+    return float(sol.x[-1]) <= ACCEPT_TOL * (1.0 + float(np.abs(b_in).max(initial=0.0)))
 
 
 def _has_ray(prob):
     """Certify LP unboundedness: a bounded ray with negative cost."""
     n = prob.n
     mi = prob.a_in.shape[0]
-    me = prob.a_eq.shape[0]
     g = np.vstack([prob.a_in, np.eye(n), -np.eye(n)])
     hvec = np.concatenate([np.zeros(mi), np.ones(2 * n)])
-    aeq = prob.a_eq if me else None
     sol = _interior_solve(QpProblem(h=np.zeros((n, n)), f=prob.f, a_in=g,
-                                    b_in=hvec, a_eq=aeq,
-                                    b_eq=prob.b_eq * 0.0 if me else None))
+                                    b_in=hvec, a_eq=prob.a_eq,
+                                    b_eq=np.zeros(prob.a_eq.shape[0])))
     scale = 1.0 + float(np.abs(prob.f).max(initial=0.0))
     return sol.status == OPTIMAL and sol.objective < -1e-8 * scale

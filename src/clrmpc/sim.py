@@ -11,6 +11,7 @@ order.
 
 import csv
 import io
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,9 @@ class Trajectory:
     applied pair broke a stage constraint; it stays empty whenever the
     certificate's preconditions held.  infeasible_step marks a run cut
     short by an infeasible online QP, failed_step one cut short by a
-    numerical failure of the solver.
+    numerical failure of the solver.  solve_s holds the wall seconds of
+    each applied step's online solve; no CSV writer emits it, so the
+    artifacts stay deterministic.
     """
 
     states: np.ndarray
@@ -47,6 +50,7 @@ class Trajectory:
     delta_weights: np.ndarray
     stage_costs: np.ndarray
     mpc_values: np.ndarray
+    solve_s: np.ndarray = None
     violations: list = field(default_factory=list)
     infeasible_step: int = None
     failed_step: int = None
@@ -84,9 +88,9 @@ def run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=FIXED_DELTA,
     mode selects whether the uncertainty matrix is drawn once per run or
     redrawn every step; delta_schedule overrides both with a cyclic list
     of hull vertex indices, which is how adversarial runs are driven.
-    An infeasible online QP or a solver failure aborts the run: the
-    partial trajectory is attached to the raised error for post-mortem
-    inspection.
+    An infeasible online QP or a solver failure ends the run early: the
+    trajectory up to that step is returned with infeasible_step or
+    failed_step set.  Only invalid arguments raise.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of " + ", ".join(MODES))
@@ -101,38 +105,33 @@ def run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=FIXED_DELTA,
     supply = _delta_source(sys, rng, mode, delta_schedule)
 
     states = [x.copy()]
-    inputs, dists, weights_log, costs, values = [], [], [], [], []
+    inputs, dists, weights_log, costs, values, solve_s = [], [], [], [], [], []
     violations = []
-    try:
-        for k in range(steps):
+    infeasible_step = failed_step = None
+    for k in range(steps):
+        t0 = time.perf_counter()
+        try:
             sol = mpc.solve_mpc(ctrl, x)
-            u = sol.u
-            residual = f @ x + g @ u - b
-            for row in np.flatnonzero(residual > violation_tol):
-                violations.append((k, int(row)))
-            w_k = model.sample_disturbance(w, rng)
-            delta, weights = supply(k)
-            inputs.append(u)
-            dists.append(w_k)
-            weights_log.append(np.asarray(weights, dtype=float))
-            costs.append(float(x @ ctrl.q_x @ x + u @ ctrl.q_u @ u))
-            values.append(sol.value)
-            x = sys.step(x, u, w_k, delta)
-            states.append(x.copy())
-    except (MpcInfeasible, SolverFailure) as err:
-        err.step = len(inputs)
-        infeasible = isinstance(err, MpcInfeasible)
-        err.trajectory = _pack(
-            sys, states, inputs, dists, weights_log, costs, values,
-            violations, infeasible_step=err.step if infeasible else None,
-            failed_step=None if infeasible else err.step)
-        raise
-    return _pack(sys, states, inputs, dists, weights_log, costs, values,
-                 violations)
-
-
-def _pack(sys, states, inputs, dists, weights_log, costs, values,
-          violations, infeasible_step=None, failed_step=None):
+        except MpcInfeasible:
+            infeasible_step = k
+            break
+        except SolverFailure:
+            failed_step = k
+            break
+        solve_s.append(time.perf_counter() - t0)
+        u = sol.u
+        residual = f @ x + g @ u - b
+        for row in np.flatnonzero(residual > violation_tol):
+            violations.append((k, int(row)))
+        w_k = model.sample_disturbance(w, rng)
+        delta, weights = supply(k)
+        inputs.append(u)
+        dists.append(w_k)
+        weights_log.append(np.asarray(weights, dtype=float))
+        costs.append(float(x @ ctrl.q_x @ x + u @ ctrl.q_u @ u))
+        values.append(sol.value)
+        x = sys.step(x, u, w_k, delta)
+        states.append(x.copy())
     n_steps = len(inputs)
     return Trajectory(
         states=np.asarray(states).reshape(n_steps + 1, sys.n_x),
@@ -142,6 +141,7 @@ def _pack(sys, states, inputs, dists, weights_log, costs, values,
             n_steps, len(sys.deltas)),
         stage_costs=np.asarray(costs, dtype=float),
         mpc_values=np.asarray(values, dtype=float),
+        solve_s=np.asarray(solve_s, dtype=float),
         violations=violations,
         infeasible_step=infeasible_step,
         failed_step=failed_step,
@@ -156,15 +156,9 @@ def run_batch(ctrl, sys, w, x0, steps, runs, seed, mode=FIXED_DELTA,
     Runs execute one after another in index order; each draws from its
     own generator stream, so any single run can be reproduced alone.
     """
-    out = []
-    for i in range(int(runs)):
-        rng = make_rng(seed, stream=i)
-        try:
-            out.append(run_closed_loop(ctrl, sys, w, x0, steps, rng, mode=mode,
-                                       delta_schedule=delta_schedule))
-        except (MpcInfeasible, SolverFailure) as err:
-            out.append(err.trajectory)
-    return out
+    return [run_closed_loop(ctrl, sys, w, x0, steps, make_rng(seed, stream=i),
+                            mode=mode, delta_schedule=delta_schedule)
+            for i in range(int(runs))]
 
 
 @dataclass

@@ -261,8 +261,9 @@ def lyapunov_check(ctrl, sys, w, samples, rng):
 
     The certified inequality bounds the value increase by the disturbance
     term evaluated at any valid hull decomposition of the applied
-    uncertainty, minus a quadratic margin in the state.  An infeasible
-    successor also counts as a failure: the decrease bound presumes the
+    uncertainty, minus a quadratic margin in the state.  A sample whose
+    online QP, at the state or at its successor, is infeasible or fails
+    numerically also counts as a failure: the decrease bound presumes the
     controller stays solvable one step ahead.
     """
     if int(samples) < 1:
@@ -280,13 +281,12 @@ def lyapunov_check(ctrl, sys, w, samples, rng):
         scale = _boundary_scale(ctrl, d)
         frac = 0.999 if rng.random() < 0.5 else rng.random()
         x = (scale * frac) * d
-        sol = mpc.solve_mpc(ctrl, x)
         w_vec = model.sample_disturbance(w, rng)
         delta, tau = model.sample_delta(sys, rng)
-        x_next = sys.step(x, sol.u, w_vec, delta)
         try:
-            v_next = mpc.solve_mpc(ctrl, x_next).value
-        except MpcInfeasible:
+            sol = mpc.solve_mpc(ctrl, x)
+            v_next = mpc.solve_mpc(ctrl, sys.step(x, sol.u, w_vec, delta)).value
+        except (MpcInfeasible, SolverFailure):
             # finite sentinel so a failed report still serializes
             failures += 1
             worst = max(worst, 1e30)

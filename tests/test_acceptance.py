@@ -12,13 +12,12 @@ shift identity holds algebraically on random instances.
 """
 
 import dataclasses
-import time
 
 import numpy as np
 import pytest
 
 import oracles
-from clrmpc import model, mpc, prediction, qpsolver, sim, synthesis, verify
+from clrmpc import model, mpc, prediction, qpsolver, sim, verify
 from clrmpc.utils import make_rng, sha256_hex
 
 X0 = np.array([1.9, 0.5, -1.7, 1.7])

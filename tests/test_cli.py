@@ -137,6 +137,22 @@ def test_simulate_outputs_and_determinism(pipeline_dir, tmp_path):
     assert stats["mode"] == sim.FIXED_DELTA
 
 
+def test_simulate_solves_each_visited_state_once(pipeline_dir, tmp_path,
+                                                  monkeypatch):
+    real_solve = mpc.solve_mpc
+    calls = []
+
+    def counted(ctrl_, x):
+        calls.append(1)
+        return real_solve(ctrl_, x)
+
+    monkeypatch.setattr(mpc, "solve_mpc", counted)
+    flags = ["--realizations", "3", "--steps", "4", "--seed", "3"]
+    assert cli.main(simulate_args(pipeline_dir, tmp_path, flags)) == 0
+    assert len(calls) == 3 * 4
+    assert "solve_samples = 12\n" in (tmp_path / "sim_log.txt").read_text()
+
+
 def test_simulate_zero_steps(pipeline_dir, tmp_path):
     flags = ["--realizations", "1", "--steps", "0", "--seed", "3"]
     assert cli.main(simulate_args(pipeline_dir, tmp_path, flags)) == 0

@@ -5,7 +5,8 @@ each decision has one owner; the imports form no cycle, prediction
 imports nothing but errors, and the verifier imports neither the
 synthesis it checks nor the command line front end.  Every public
 function and class has a caller in the package or its scripts: what
-only the tests call lives in the tests.
+only the tests call lives in the tests.  No module of the package, the
+scripts or the tests imports a name it never reads.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "clrmpc"
 SCRIPTS = ROOT / "scripts"
+TESTS = ROOT / "tests"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
@@ -86,6 +88,18 @@ def _unread_public_names(modules, scripts):
     return sorted(defined - reads)
 
 
+def _unused_imports(tree):
+    """Names a module binds by import and never reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names if a.name != "*"}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
 def _tree(name):
     return ast.parse((PACKAGE / f"{name}.py").read_text(), filename=name)
 
@@ -147,3 +161,21 @@ def test_checker_sees_unread_public_names():
     assert _unread_public_names(modules, scripts) == ["a.Orphan", "a.unread"]
     assert _unread_public_names(modules, []) == [
         "a.Orphan", "a.unread", "b.run"]
+
+
+def test_no_unused_imports():
+    # an __init__ imports to re-export, so it is not scanned
+    sources = [p for d in (PACKAGE, SCRIPTS, TESTS) for p in sorted(d.glob("*.py"))
+               if p.name != "__init__.py"]
+    unused = {p.relative_to(ROOT).as_posix():
+              _unused_imports(ast.parse(p.read_text(), filename=p.name))
+              for p in sources}
+    assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_checker_sees_unused_imports():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "import numpy as np\nfrom . import a, b as c\n"
+                     "from x import y\nfrom z import *\n"
+                     "def f():\n    import json\n    return np.zeros(1), a, os\n")
+    assert _unused_imports(tree) == ["c", "json", "y"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -85,6 +87,34 @@ def test_lp_status_decides_feasibility_with_equalities():
     bad = linear_program(np.zeros(2), a_in=box, b_in=[1, 1, 1, 1],
                          a_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[0.0, 1.0])
     assert bad.status == INFEASIBLE
+
+
+def test_kkt_check_is_the_verdict():
+    # min |x - (1, 1, 0)|^2 s.t. sum x = 1, x0 <= 0 (active, dual 2),
+    # sum x <= 3 and x1 <= 5 (both inactive): x = (0, 1, 0), y = 0
+    prob = QpProblem(h=2 * np.eye(3), f=[-2.0, -2.0, 0.0],
+                     a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0],
+                     a_in=[[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]],
+                     b_in=[0.0, 3.0, 5.0])
+    sol = solve_qp(prob)
+    assert sol.status == OPTIMAL
+    np.testing.assert_allclose(sol.in_duals, [2.0, 0.0, 0.0], atol=1e-7)
+    scales = qpsolver._scales(prob)
+    x, y, z = sol.x, sol.eq_duals, sol.in_duals
+    assert qpsolver._kkt_check(prob, x, y, z, *scales) is not None
+    # each perturbation breaks exactly one of the four conditions
+    off_stationary = x + 1e-3 * np.array([0.0, 1.0, -1.0])
+    assert qpsolver._kkt_check(prob, off_stationary, y, z, *scales) is None
+    pushed = dataclasses.replace(prob, b_in=np.array([0.0, 3.0, x[1] - 1e-3]))
+    assert qpsolver._kkt_check(pushed, x, y, z, *scales) is None
+    # the active dual negated on the mirrored row keeps stationarity
+    mirrored = dataclasses.replace(
+        prob, a_in=prob.a_in * np.array([[-1.0], [1.0], [1.0]]))
+    negated = z * np.array([-1.0, 1.0, 1.0])
+    assert qpsolver._kkt_check(mirrored, x, y, negated, *scales) is None
+    # a dual on the inactive sum row, moved off the equality dual
+    slack_dual = z + np.array([0.0, 0.5, 0.0])
+    assert qpsolver._kkt_check(prob, x, y - 0.5, slack_dual, *scales) is None
 
 
 def test_determinism():

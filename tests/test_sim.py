@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clrmpc import mpc, qpsolver, sim
-from clrmpc.errors import MpcInfeasible, SolverFailure
+from clrmpc.errors import SolverFailure
 from clrmpc.utils import make_rng
 
 import oracles
@@ -46,6 +46,7 @@ def test_record_lengths_and_replay(scalar_uncertain_controller):
         traj = sim.run_closed_loop(ctrl, sys, w, [0.5], 15, make_rng(3),
                                    mode=mode)
         assert traj.states.shape[0] == traj.inputs.shape[0] + 1
+        assert traj.solve_s.shape == (15,) and (traj.solve_s > 0).all()
         replayed = oracles.replay_states(sys, traj)
         assert np.abs(replayed - traj.states).max() <= 1e-10
         again = sim.run_closed_loop(ctrl, sys, w, [0.5], 15, make_rng(3),
@@ -81,13 +82,12 @@ def test_adversarial_vertex_cycling(scalar_uncertain_controller):
 
 def test_infeasible_start_is_recorded(scalar_certain_controller):
     ctrl, sys, w, c = scalar_certain_controller
-    with pytest.raises(MpcInfeasible) as err:
-        sim.run_closed_loop(ctrl, sys, w, [5.0], 4, make_rng(6))
-    assert err.value.step == 0
-    traj = err.value.trajectory
+    traj = sim.run_closed_loop(ctrl, sys, w, [5.0], 4, make_rng(6))
     assert traj.infeasible_step == 0
+    assert traj.failed_step is None
     assert traj.states.shape == (1, 1)
     assert traj.inputs.shape == (0, 1)
+    assert traj.solve_s.shape == (0,)
     runs = sim.run_batch(ctrl, sys, w, [5.0], 4, 2, seed=6)
     assert all(r.infeasible_step == 0 for r in runs)
     stats = sim.batch_stats(runs)
@@ -143,6 +143,7 @@ def test_solver_failure_is_recorded_and_batch_continues(
     assert failed.failed_step == bad_step
     assert failed.infeasible_step is None
     assert failed.inputs.shape[0] == bad_step
+    assert failed.solve_s.shape == (bad_step,)
     assert np.array_equal(failed.states, clean[bad_run].states[:bad_step + 1])
     fields = ("states", "inputs", "disturbances", "delta_weights",
               "stage_costs", "mpc_values")

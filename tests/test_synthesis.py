@@ -9,7 +9,6 @@ from clrmpc.errors import (
     Infeasible,
     ModelFormatError,
 )
-from clrmpc.linalg import solve_dare
 from clrmpc.utils import make_rng
 
 

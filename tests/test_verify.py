@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clrmpc import model, mpc, synthesis, verify
-from clrmpc.errors import ModelFormatError
+from clrmpc.errors import ModelFormatError, SolverFailure
 from clrmpc.utils import make_rng, sha256_hex
 from oracles import polytope_vertices
 
@@ -142,6 +142,29 @@ def test_lyapunov_clean_scalar(scalar_uncertain_controller):
     assert res.samples == 40
     assert res.failures == 0
     assert res.worst_margin <= verify.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("bad_call", [19, 20])
+def test_lyapunov_counts_a_solver_failure(scalar_uncertain_controller,
+                                          monkeypatch, bad_call):
+    # calls 19 and 20 are the state and successor solves of the last of
+    # 10 samples, so the samples before it draw the same numbers
+    ctrl, sys, w, c = scalar_uncertain_controller
+    clean = verify.lyapunov_check(ctrl, sys, w, 10, make_rng(10))
+    real_solve = mpc.solve_mpc
+    calls = []
+
+    def flaky(ctrl_, x):
+        calls.append(1)
+        if len(calls) == bad_call:
+            raise SolverFailure("online QP ended with status maxiter")
+        return real_solve(ctrl_, x)
+
+    monkeypatch.setattr(mpc, "solve_mpc", flaky)
+    res = verify.lyapunov_check(ctrl, sys, w, 10, make_rng(10))
+    assert res.samples == 10
+    assert res.failures == clean.failures + 1
+    assert res.worst_margin == 1e30
 
 
 def test_lyapunov_zero_disturbance_strict_decrease(
