@@ -31,7 +31,6 @@ from .errors import (
     InitialGuessInfeasible,
     MissingArtifacts,
     ModelFormatError,
-    MpcInfeasible,
     NoConvergence,
     NoProgress,
     SolverFailure,
@@ -397,9 +396,6 @@ def main(argv=None):
     except FingerprintMismatch as err:
         print(f"fingerprint mismatch: {err}", file=sys.stderr)
         return EXIT_FINGERPRINT
-    except MpcInfeasible as err:
-        print(f"closed loop infeasible: {err}", file=sys.stderr)
-        return EXIT_MPC_INFEASIBLE
     except (MissingArtifacts, ModelFormatError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

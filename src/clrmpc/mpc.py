@@ -7,6 +7,13 @@ prediction matrix, every stage keeps its tightened right hand side, and
 the first input of the minimizer is applied to the plant.  Feasibility
 of that program is the region-of-attraction test; its optimal value is
 the function the closed loop descends.
+
+Each solve hands qpsolver the unconstrained minimizer u = law x as its
+start.  That point is the answer whenever no constraint binds; otherwise
+a few active-set rounds from it usually are, and the interior point path
+remains the fallback and the infeasibility test.  Every accepted point
+passes the solver's KKT check, so the answer is the cold solve's within
+the solver's tolerance.
 """
 
 from dataclasses import dataclass
@@ -34,20 +41,23 @@ class ControllerState:
 
     All matrices live in the stacked input space: with the nominal plan
     written as s_mat @ [x; u_stack], the cost splits into
-    u' hess u / 2 + (f_map x)' u + x' v_map x and the tightened stage and
-    terminal constraints into a_in u <= bt - g_map x.
+    u' h u / 2 + (f_map x)' u + x' v_map x and the tightened stage and
+    terminal constraints into a_in u <= bt - g_map x.  qp is the problem
+    at x = 0 (its h is the Hessian above), whose matrices every online
+    problem shares, and law the unconstrained minimizer u = law x.
     """
 
     certificate: object
     bundle: object
     q_x: np.ndarray
     q_u: np.ndarray
-    hess: np.ndarray
     f_map: np.ndarray
     v_map: np.ndarray
     a_in: np.ndarray
     g_map: np.ndarray
     bt: np.ndarray
+    law: np.ndarray
+    qp: qpsolver.QpProblem
 
 
 def make_controller(sys, w, c, cert):
@@ -66,17 +76,28 @@ def make_controller(sys, w, c, cert):
     q_s = terminal.stack_cost(bundle, cert.q_x, cert.q_u, cert.cost.q_n)
     qs_x = q_s @ bundle.s_x
     qs_u = q_s @ bundle.s_u
+    hess = 2.0 * (bundle.s_u.T @ qs_u)
+    f_map = 2.0 * (bundle.s_u.T @ qs_x)
+    bt = bundle.tightened(cert.tightenings)
+    # the input blocks of the stacked cost are positive definite, so hess
+    # is too (as in terminal.optimal_manifold)
+    law = -np.linalg.solve(hess, f_map)
+    qp = qpsolver.QpProblem(h=hess, f=np.zeros(hess.shape[0]),
+                            a_in=bundle.a_u, b_in=bt)
+    for arr in (law, qp.h, qp.f, qp.a_in, qp.b_in, qp.a_eq, qp.b_eq):
+        arr.flags.writeable = False
     return ControllerState(
         certificate=cert,
         bundle=bundle,
         q_x=np.asarray(cert.q_x, dtype=float),
         q_u=np.asarray(cert.q_u, dtype=float),
-        hess=2.0 * (bundle.s_u.T @ qs_u),
-        f_map=2.0 * (bundle.s_u.T @ qs_x),
+        f_map=f_map,
         v_map=bundle.s_x.T @ qs_x,
         a_in=bundle.a_u,
         g_map=bundle.a_x,
-        bt=bundle.tightened(cert.tightenings),
+        bt=bt,
+        law=law,
+        qp=qp,
     )
 
 
@@ -91,13 +112,8 @@ def solve_mpc(ctrl, x):
         raise ValueError("state has wrong dimension")
     if not np.all(np.isfinite(x)):
         raise ValueError("state has non-finite entries")
-    prob = qpsolver.QpProblem(
-        h=ctrl.hess,
-        f=ctrl.f_map @ x,
-        a_in=ctrl.a_in,
-        b_in=ctrl.bt - ctrl.g_map @ x,
-    )
-    sol = qpsolver.solve_qp(prob)
+    prob = ctrl.qp.with_vectors(ctrl.f_map @ x, ctrl.bt - ctrl.g_map @ x)
+    sol = qpsolver.solve_qp(prob, start=ctrl.law @ x)
     if sol.status == qpsolver.INFEASIBLE:
         raise MpcInfeasible(
             "no admissible input plan at the queried state", state=x.copy())

@@ -150,21 +150,23 @@ def _w_support_dual(w, d):
     return np.maximum(sol.x, 0.0)
 
 
-def _plan_support(a_lp, bt, d, memo):
+def _plan_support(plan_lp, d, memo):
     """Support of direction d over the tightened plan polytope.
 
-    Returns (value, maximizer, row duals); the duals are the Farkas
-    weights with a_lp' duals = d.  memo maps d.tobytes() to the result
-    of an earlier call with the same a_lp and bt; the solver is
-    deterministic, so a stored result is exactly what a new solve would
-    return.  Its arrays are read-only because later calls share them.
+    plan_lp is the LP over that polytope with a zero objective; its
+    matrices are shared by every call.  Returns (value, maximizer, row
+    duals); the duals are the Farkas weights with a_lp' duals = d.  memo
+    maps d.tobytes() to the result of an earlier call with the same
+    plan_lp; the solver is deterministic, so a stored result is exactly
+    what a new solve would return.  Its arrays are read-only because later
+    calls share them.
     """
     if np.abs(d).max(initial=0.0) < 1e-14:
-        return 0.0, np.zeros(a_lp.shape[1]), np.zeros(a_lp.shape[0])
+        return 0.0, np.zeros(plan_lp.n), np.zeros(plan_lp.b_in.shape[0])
     key = d.tobytes()
     if key in memo:
         return memo[key]
-    sol = qpsolver.linear_program(-d, a_in=a_lp, b_in=bt)
+    sol = qpsolver.solve_qp(plan_lp.with_vectors(-d))
     if sol.status == qpsolver.UNBOUNDED:
         raise SolverFailure("plan polytope unbounded along a containment direction")
     if sol.status != qpsolver.OPTIMAL:
@@ -222,14 +224,15 @@ def _cut_coeffs(maps, term, sys, bundle, r, y_s, y_w):
     return coef, const
 
 
-def _separate(bundle, sys, w, bt, vertex, gains, memo):
+def _separate(bundle, sys, w, plan_lp, vertex, gains, memo):
     """Exact row slacks of the containment at the given gains."""
+    bt = plan_lp.b_in
     rhs = prediction.successor_rows(bundle, gains, sys, vertex)
     n_s = bundle.n_s
     sigmas = np.empty(bundle.n_t)
     points = []
     for r in range(bundle.n_t):
-        v_s, y_s, _ = _plan_support(bundle.a_lp, bt, rhs[r, :n_s], memo)
+        v_s, y_s, _ = _plan_support(plan_lp, rhs[r, :n_s], memo)
         v_w, y_w = _w_support(w, rhs[r, n_s:])
         sigmas[r] = v_s + v_w - bt[r]
         points.append((y_s, y_w))
@@ -256,13 +259,14 @@ def _solve_master(cuts, bt_min, g_center):
     return sol.x[:n_g], float(sol.x[n_g])
 
 
-def _vertex_multiplier(bundle, sys, w, bt, vertex, warm, pool, target, memo):
+def _vertex_multiplier(bundle, sys, w, plan_lp, vertex, warm, pool, target, memo):
     """Cutting-plane gain search plus dual recovery for one vertex.
 
     Pool entries are (row, y_s, y_w, coef, const): a plan point and its
     cut, affine in the gains.  The cut depends on the vertex and the
     point only, so entries carried over from an earlier step keep it.
     """
+    bt = plan_lp.b_in
     maps = _vertex_maps(bundle, sys, vertex)
     term = bundle.term_rows()
     n_t = bundle.n_t
@@ -285,7 +289,7 @@ def _vertex_multiplier(bundle, sys, w, bt, vertex, warm, pool, target, memo):
         return [(coef, bt_vec[r] - const) for r, _, _, coef, const in entries.values()]
 
     g_best = _pack_gains(warm)
-    sigmas, points = _separate(bundle, sys, w, bt, vertex,
+    sigmas, points = _separate(bundle, sys, w, plan_lp, vertex,
                                _unpack_gains(g_best, bundle.n, bundle.n_x, bundle.n_u),
                                memo)
     sigma_best = float(sigmas.max())
@@ -296,7 +300,7 @@ def _vertex_multiplier(bundle, sys, w, bt, vertex, warm, pool, target, memo):
     rounds = 1
     while not (target is not None and sigma_best <= target) and rounds < MAX_ROUNDS:
         g_new, sigma_pred = _solve_master(cuts_for(bt), float(bt.min()), g_best)
-        sigmas, points = _separate(bundle, sys, w, bt, vertex,
+        sigmas, points = _separate(bundle, sys, w, plan_lp, vertex,
                                    _unpack_gains(g_new, bundle.n, bundle.n_x, bundle.n_u),
                                    memo)
         sigma_new = float(sigmas.max())
@@ -322,7 +326,7 @@ def _vertex_multiplier(bundle, sys, w, bt, vertex, warm, pool, target, memo):
     sigma_fin = -np.inf
     for r in range(n_t):
         d_s, d_w = rhs[r, :n_s], rhs[r, n_s:]
-        v_s, _, duals = _plan_support(bundle.a_lp, bt, d_s, memo)
+        v_s, _, duals = _plan_support(plan_lp, d_s, memo)
         lam_w = _w_support_dual(w, d_w)
         lam[r, :n_t] = duals
         lam[r, n_t:] = lam_w
@@ -379,11 +383,14 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
     Returns the per-vertex gains, the recovered multipliers, and the
     per-vertex worst containment slacks sigmas; sigmas.max() <= 0 means
     the tightened set is recursively feasible as it stands.  Every
-    plan-support LP of the step shares bundle.a_lp and bt, so one memo
-    keyed by the direction serves all rounds and vertices and ends with
-    the call.
+    plan-support LP of the step shares bundle.a_lp and bt, so one LP
+    template, checked once, and one memo keyed by the direction serve all
+    rounds and vertices and end with the call.
     """
     bt = bundle.tightened(t_fixed)
+    n_s = bundle.n_s
+    plan_lp = qpsolver.QpProblem(h=np.zeros((n_s, n_s)), f=np.zeros(n_s),
+                                 a_in=bundle.a_lp, b_in=bt)
     n_delta = len(sys.deltas)
     if warm_gains is None:
         warm_gains = [prediction.zero_gains(bundle.n, bundle.n_x, bundle.n_u)
@@ -392,7 +399,7 @@ def solve_multiplier_step(bundle, sys, w, t_fixed, warm_gains=None, pools=None,
         pools = [None] * n_delta
 
     memo = {}
-    results = [_vertex_multiplier(bundle, sys, w, bt, j, warm_gains[j],
+    results = [_vertex_multiplier(bundle, sys, w, plan_lp, j, warm_gains[j],
                                   pools[j], target, memo)
                for j in range(n_delta)]
     gains = [r[0] for r in results]

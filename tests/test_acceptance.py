@@ -98,7 +98,25 @@ def test_closed_loop_trajectories_are_pinned(benchmark_batches):
                    + sim.batch_summary_csv(runs)
                    for runs in benchmark_batches)
     assert sha256_hex(text) == (
-        "6c28508b1599cd21e9ff523c0739297e2f156c37141c0e884bcd55ac88fcb214")
+        "1557515f3af339ee02886e035ee16bf8b149103545d643a46e0f028c7060d06b")
+
+
+def test_closed_loop_never_reaches_the_interior_point(benchmark_batches,
+                                                      msd_controller,
+                                                      monkeypatch):
+    # every online QP of the fixed_delta batch is answered by the
+    # unconstrained law or the active-set rounds; a silent fall-back to
+    # the interior point path shows here
+    ctrl, sys_m, w_m, c_m = msd_controller
+    calls = []
+    real = qpsolver._interior_solve
+    monkeypatch.setattr(qpsolver, "_interior_solve",
+                        lambda prob: calls.append(prob) or real(prob))
+    fixed = sim.run_batch(ctrl, sys_m, w_m, X0, 60, 25, seed=1,
+                          mode=sim.FIXED_DELTA)
+    assert calls == []
+    assert all(np.array_equal(a.states, b.states)
+               for a, b in zip(fixed, benchmark_batches[0]))
 
 
 def test_benchmark_mean_cost_matches_reference(benchmark_batches):
@@ -200,7 +218,7 @@ def test_degenerate_model_reduces_to_exact_shift(scalar_certain_controller):
         x = np.array([xval])
         f_lin = ctrl.f_map @ x
         b_in = ctrl.bt - ctrl.g_map @ x
-        found = oracles.brute_force_qp(ctrl.hess, f_lin, ctrl.a_in, b_in)
+        found = oracles.brute_force_qp(ctrl.qp.h, f_lin, ctrl.a_in, b_in)
         assert found is not None
         u_opt, obj, _ = found
         sol = mpc.solve_mpc(ctrl, x)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from clrmpc import mpc, qpsolver, verify
+from clrmpc import mpc, qpsolver, sim, verify
 from clrmpc.errors import FingerprintMismatch, MpcInfeasible
 
 X0 = np.array([1.9, 0.5, -1.7, 1.7])
@@ -108,6 +109,72 @@ def test_value_quadratic_lower_bound(msd_controller):
         x = rng.uniform(-0.6, 0.6, size=4)
         sol = mpc.solve_mpc(ctrl, x)
         assert sol.value >= lam * float(x @ x) - 1e-8
+
+
+def _ray_states(ctrl, rng, fractions):
+    """States at the given fractions of the way to the region boundary,
+    along seeded random rays."""
+    states = []
+    for frac in fractions:
+        d = rng.standard_normal(ctrl.bundle.n_x)
+        d /= np.linalg.norm(d)
+        states.append(frac * verify._boundary_scale(ctrl, d) * d)
+    return states
+
+
+def _online_qp(ctrl, x):
+    return ctrl.qp.with_vectors(ctrl.f_map @ x, ctrl.bt - ctrl.g_map @ x)
+
+
+def _assert_kkt_point(ctrl, x, plan):
+    """Feasibility and, by nnls over the near-active rows, stationarity
+    with nonnegative multipliers."""
+    rhs = ctrl.bt - ctrl.g_map @ x
+    scale = 1.0 + np.abs(rhs).max()
+    slack = rhs - ctrl.a_in @ plan
+    assert slack.min() >= -1e-7 * scale
+    f = ctrl.f_map @ x
+    grad = ctrl.qp.h @ plan + f
+    active = slack <= 1e-6 * scale
+    if active.any():
+        _, resid = nnls(ctrl.a_in[active].T, -grad)
+    else:
+        resid = np.linalg.norm(grad)
+    assert resid <= 1e-6 * (1.0 + max(np.abs(ctrl.qp.h).max(), np.abs(f).max()))
+
+
+def test_fast_path_agrees_with_interior_point(msd_controller):
+    # seeded interior states, states at 0.999 of the boundary and visited
+    # closed-loop states: the online answer is a KKT point and lies within
+    # the distance two solutions accepted at ACCEPT_TOL can have
+    ctrl, sys_m, w_m, c_m = msd_controller
+    rng = np.random.default_rng(5)
+    states = _ray_states(ctrl, rng, rng.uniform(0.05, 0.999, size=60))
+    states += _ray_states(ctrl, rng, [0.999] * 60)
+    runs = sim.run_batch(ctrl, sys_m, w_m, X0, 60, 3, seed=2)
+    states += [x for run in runs for x in run.states[:-1]]
+    m = ctrl.a_in.shape[0]
+    curvature = np.linalg.eigvalsh(ctrl.qp.h).min()
+    took_rounds = 0
+    for x in states:
+        sol = mpc.solve_mpc(ctrl, x)
+        ref = qpsolver.solve_qp(_online_qp(ctrl, x))
+        assert ref.status == qpsolver.OPTIMAL
+        plan = sol.inputs.ravel()
+        gap = m * qpsolver.ACCEPT_TOL * (1.0 + abs(ref.objective))
+        assert np.linalg.norm(plan - ref.x) <= 2.0 * np.sqrt(2.0 * gap / curvature)
+        _assert_kkt_point(ctrl, x, plan)
+        started = qpsolver.solve_qp(_online_qp(ctrl, x), start=ctrl.law @ x)
+        took_rounds += started.iterations > 0
+    # the active-set rounds ran, not only the unconstrained law
+    assert took_rounds > 0
+
+
+def test_states_just_outside_the_region_raise(msd_controller):
+    ctrl, sys_m, w_m, c_m = msd_controller
+    for x in _ray_states(ctrl, np.random.default_rng(9), [1.001] * 10):
+        with pytest.raises(MpcInfeasible):
+            mpc.solve_mpc(ctrl, x)
 
 
 def _phase1_feasible(ctrl, x):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clrmpc import qpsolver
+from clrmpc.errors import DimensionMismatch
 from clrmpc.qpsolver import (
     INFEASIBLE,
     OPTIMAL,
@@ -115,6 +116,12 @@ def test_kkt_check_is_the_verdict():
     # a dual on the inactive sum row, moved off the equality dual
     slack_dual = z + np.array([0.0, 0.5, 0.0])
     assert qpsolver._kkt_check(prob, x, y - 0.5, slack_dual, *scales) is None
+    # a non-finite entry anywhere fails the verdict
+    for vec, i in ((x, 1), (y, 0), (z, 1)):
+        bad = vec.copy()
+        bad[i] = np.nan
+        args = [bad if v is vec else v for v in (x, y, z)]
+        assert qpsolver._kkt_check(prob, *args, *scales) is None
 
 
 def test_determinism():
@@ -233,10 +240,13 @@ def test_random_inequality_qps_match_bruteforce(seed):
     b = rng.random(mi) + 0.3  # origin strictly feasible
     ref = brute_force_qp(h, f, g, b)
     assert ref is not None
-    sol = solve_qp(QpProblem(h=h, f=f, a_in=g, b_in=b))
-    assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(ref[1], abs=1e-6 * (1 + abs(ref[1])))
-    np.testing.assert_allclose(sol.x, ref[0], atol=1e-5 * (1 + np.abs(ref[0]).max()))
+    prob = QpProblem(h=h, f=f, a_in=g, b_in=b)
+    # cold, and from the unconstrained minimizer through the active-set rounds
+    for sol in (solve_qp(prob), solve_qp(prob, start=-np.linalg.solve(h, f))):
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(ref[1], abs=1e-6 * (1 + abs(ref[1])))
+        np.testing.assert_allclose(sol.x, ref[0],
+                                   atol=1e-5 * (1 + np.abs(ref[0]).max()))
 
 
 def test_kkt_conditions_on_mixed_qp():
@@ -274,3 +284,87 @@ def test_solution_type():
     assert isinstance(sol, QpSolution)
     assert sol.iterations >= 1
     assert np.isfinite(sol.kkt_residual)
+
+
+def _boxed_qp():
+    # min |x - (3, -2, 0.5)|^2 over the box |x_i| <= 1: x = (1, -1, 0.5)
+    return QpProblem(h=2 * np.eye(3), f=[-6.0, 4.0, -1.0],
+                     a_in=np.vstack([np.eye(3), -np.eye(3)]), b_in=np.ones(6))
+
+
+def test_start_rounds_reach_the_interior_point_answer():
+    prob = _boxed_qp()
+    cold = solve_qp(prob)
+    # the unconstrained minimizer violates two rows: one round
+    sol = solve_qp(prob, start=[3.0, -2.0, 0.5])
+    assert sol.status == OPTIMAL and sol.iterations == 1
+    np.testing.assert_allclose(sol.x, [1.0, -1.0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(sol.in_duals, [4.0, 0, 0, 0, 2.0, 0], atol=1e-12)
+    np.testing.assert_allclose(sol.x, cold.x, atol=1e-7)
+    np.testing.assert_allclose(sol.in_duals, cold.in_duals, atol=1e-6)
+    # an unconstrained minimizer inside the box is accepted as it stands
+    inner = solve_qp(prob.with_vectors([-1.0, 0.4, -0.2]), start=[0.5, -0.2, 0.1])
+    assert inner.iterations == 0
+    assert np.array_equal(inner.x, [0.5, -0.2, 0.1])
+    assert np.array_equal(inner.in_duals, np.zeros(6))
+
+
+def test_misleading_start_still_returns_the_interior_point_answer(monkeypatch):
+    prob = _boxed_qp()
+    cold = solve_qp(prob)
+    far = solve_qp(prob, start=[-50.0, 80.0, -9.0])
+    assert far.status == OPTIMAL
+    np.testing.assert_allclose(far.x, cold.x, atol=1e-7)
+    # with no rounds left the interior point path answers, bit for bit
+    monkeypatch.setattr(qpsolver, "ACTIVE_SET_ROUNDS", 0)
+    calls = []
+    real = qpsolver._interior_solve
+    monkeypatch.setattr(qpsolver, "_interior_solve",
+                        lambda p: calls.append(p) or real(p))
+    sol = solve_qp(prob, start=[3.0, -2.0, 0.5])
+    assert len(calls) == 1
+    assert np.array_equal(sol.x, cold.x)
+    assert sol.iterations == cold.iterations
+
+
+def test_start_is_ignored_with_equality_rows_or_zero_hessian(monkeypatch):
+    eq_qp = QpProblem(h=2 * np.eye(2), f=[-2.0, 0.0], a_eq=[[1.0, 1.0]],
+                      b_eq=[0.0], a_in=[[1.0, 0.0]], b_in=[0.25])
+    lp = QpProblem(h=np.zeros((2, 2)), f=[-1.0, -1.0],
+                   a_in=np.vstack([np.eye(2), -np.eye(2)]), b_in=np.ones(4))
+    cold = [solve_qp(eq_qp), solve_qp(lp)]
+
+    def no_rounds(*args):
+        raise AssertionError("start taken")
+
+    monkeypatch.setattr(qpsolver, "_active_set", no_rounds)
+    for prob, ref in zip((eq_qp, lp), cold):
+        sol = solve_qp(prob, start=[0.25, -0.25])
+        assert sol.status == OPTIMAL
+        assert np.array_equal(sol.x, ref.x)
+
+
+def test_start_is_checked():
+    prob = _boxed_qp()
+    with pytest.raises(DimensionMismatch):
+        solve_qp(prob, start=[1.0, 0.0])
+    with pytest.raises(ValueError):
+        solve_qp(prob, start=[np.nan, 0.0, 0.0])
+
+
+def test_with_vectors_shares_matrices_and_checks_new_vectors():
+    prob = _boxed_qp()
+    new = prob.with_vectors([1.0, 2.0, 3.0], b_in=np.full(6, 2.0))
+    assert new.h is prob.h and new.a_in is prob.a_in and new.a_eq is prob.a_eq
+    assert np.array_equal(new.f, [1.0, 2.0, 3.0])
+    assert np.array_equal(new.b_in, np.full(6, 2.0))
+    assert np.array_equal(prob.f, [-6.0, 4.0, -1.0])
+    assert prob.with_vectors(np.zeros(3)).b_in is prob.b_in
+    with pytest.raises(DimensionMismatch):
+        prob.with_vectors(np.zeros(4))
+    with pytest.raises(DimensionMismatch):
+        prob.with_vectors(np.zeros(3), b_in=np.ones(5))
+    with pytest.raises(ValueError):
+        prob.with_vectors([np.inf, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        prob.with_vectors(np.zeros(3), b_in=np.full(6, np.nan))

@@ -189,28 +189,31 @@ def test_multiplier_step_solves_each_plan_lp_once(monkeypatch):
     sys, w, c, cfg, ts, bundle = scalar_setup(with_delta=True)
     t0 = synthesis.initial_guess(bundle, sys, w, cfg, k_y=ts.k_y)
     a_lp = bundle.h_xu @ bundle.s_mat
-    real_lp = qpsolver.linear_program
+    real_solve = qpsolver.solve_qp
     # a second step at another tightening must not see the first one's LPs
     for t in (t0, 0.5 * t0):
         solved = []
 
-        def recording_lp(f, **kwargs):
-            solved.append((kwargs["b_in"].tobytes(), np.asarray(f).tobytes()))
-            return real_lp(f, **kwargs)
+        def recording_solve(prob, **kwargs):
+            if not prob.h.any():
+                solved.append((prob.b_in.tobytes(), prob.f.tobytes()))
+            return real_solve(prob, **kwargs)
 
-        monkeypatch.setattr(qpsolver, "linear_program", recording_lp)
+        monkeypatch.setattr(qpsolver, "solve_qp", recording_solve)
         step = synthesis.solve_multiplier_step(bundle, sys, w, t)
         monkeypatch.undo()
         assert solved and len(set(solved)) == len(solved)
 
         # the reused duals are exactly those of a fresh solve at the final gains
-        bt = bundle.b_stack - t
+        plan_lp = qpsolver.QpProblem(
+            h=np.zeros((bundle.n_s, bundle.n_s)), f=np.zeros(bundle.n_s),
+            a_in=a_lp, b_in=bundle.b_stack - t)
         for j, (g, lam) in enumerate(zip(step.gains, step.multipliers)):
             rhs = prediction.successor_rows(bundle, g, sys, j)
             ref = np.zeros_like(lam)
             for r in range(bundle.n_t):
                 ref[r, :bundle.n_t] = synthesis._plan_support(
-                    a_lp, bt, rhs[r, :bundle.n_s], {})[2]
+                    plan_lp, rhs[r, :bundle.n_s], {})[2]
                 ref[r, bundle.n_t:] = synthesis._w_support_dual(w, rhs[r, bundle.n_s:])
             assert np.array_equal(lam, ref)
 
