@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clrmpc import model, mpc, synthesis, verify
+from clrmpc import model, mpc, qpsolver, synthesis, verify
 from clrmpc.errors import ModelFormatError, SolverFailure
 from clrmpc.utils import make_rng, sha256_hex
 from oracles import polytope_vertices
+
+COMMITTED = (Path(__file__).resolve().parents[1] / "perfbench"
+             / "msd_certificate.txt")
 
 
 def box(n, r):
@@ -167,6 +170,37 @@ def test_lyapunov_counts_a_solver_failure(scalar_uncertain_controller,
     assert res.worst_margin == 1e30
 
 
+def test_lyapunov_solves_one_lp_per_sample(msd_controller, monkeypatch):
+    # the boundary LP is the only one: the disturbance term is taken at the
+    # hull weights the sample drew, with no search over other weights
+    ctrl, sys_m, w_m, c_m = msd_controller
+    real_lp = qpsolver.linear_program
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("a_eq"))
+        return real_lp(*args, **kwargs)
+
+    monkeypatch.setattr(qpsolver, "linear_program", counted)
+    res = verify.lyapunov_check(ctrl, sys_m, w_m, 20, make_rng(7))
+    assert res.failures == 0
+    assert len(calls) == 20
+    assert all(a_eq is None for a_eq in calls)
+
+
+def test_lyapunov_negative_control(scalar_uncertain_controller):
+    # the value here is about 1.13 |x|^2, so a claimed decrease of
+    # 10 |x|^2 per step would need a negative successor value
+    ctrl, sys, w, c = scalar_uncertain_controller
+    cert = ctrl.certificate
+    bad = dataclasses.replace(
+        cert, cost=dataclasses.replace(cert.cost, p_margin=10.0))
+    bad_ctrl = mpc.make_controller(sys, w, c, bad)
+    res = verify.lyapunov_check(bad_ctrl, sys, w, 40, make_rng(10))
+    assert res.failures > 0
+    assert res.worst_margin > verify.RESIDUAL_TOL
+
+
 def test_lyapunov_zero_disturbance_strict_decrease(
         scalar_uncertain_controller):
     from clrmpc import model
@@ -198,14 +232,38 @@ def test_verify_certificate_report(scalar_uncertain_controller):
 def test_report_of_committed_certificate_is_pinned():
     # the Farkas check, the inclusions, the sampling and the online solve,
     # byte for byte; a change that moves the online solve in its last
-    # digits updates this hash and says so
-    committed = Path(__file__).resolve().parents[1] / "perfbench" / "msd_certificate.txt"
+    # digits, or the random numbers a sample draws, updates this hash and
+    # says so in CHANGES.md with both hashes
     sys_m, w_m, c_m = model.build_msd()
-    cert = synthesis.read_certificate(committed.read_text())
+    cert = synthesis.read_certificate(COMMITTED.read_text())
     report = verify.verify_certificate(cert, sys_m, w_m, c_m, srf_samples=400,
                                        lyapunov_samples=8, rng=make_rng(1))
     assert sha256_hex(verify.write_report(report)) == (
-        "96f220ab2a85b62e8a87d4e38362b03fc566c56d3a0943bb30bb2b189b0074cc")
+        "9f6902fedb773485812b9b773bf06cd9edf5079db290677086542c2c1e234f97")
+
+
+def test_failed_farkas_check_skips_the_inclusions(monkeypatch):
+    # the inclusions can only contradict a clean Farkas check, so a
+    # certificate that fails it gets its report without support LPs
+    sys_m, w_m, c_m = model.build_msd()
+    cert = synthesis.read_certificate(COMMITTED.read_text())
+    lam = np.array(cert.multipliers[0], dtype=float)
+    lam.flat[lam.argmax()] *= -1.0
+    bad = dataclasses.replace(
+        cert, multipliers=[lam] + list(cert.multipliers[1:]))
+    real_contains = verify.contains
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real_contains(*args)
+
+    monkeypatch.setattr(verify, "contains", counted)
+    report = verify.verify_certificate(bad, sys_m, w_m, c_m, srf_samples=4,
+                                       lyapunov_samples=2, rng=make_rng(1))
+    assert not report.valid
+    assert report.farkas_residuals[0]["negativity"] > verify.RESIDUAL_TOL
+    assert calls == []
 
 
 def test_report_rejects_tampered_verdict(scalar_uncertain_controller):
