@@ -126,8 +126,9 @@ def cmd_verify(args):
     (out / "report.txt").write_text(verify.write_report(report))
     print(f"verification {'VALID' if report.valid else 'FAILED'}: "
           f"srf {report.srf_failures}/{report.srf_samples} failures, "
-          f"lyapunov {report.lyapunov_failures}/{report.lyapunov_samples}, "
-          f"worst margin {report.worst_margin!r}")
+          f"lyapunov {report.lyapunov_failures}/{report.lyapunov_samples}\n"
+          f"srf worst margin {report.srf_worst_margin!r}\n"
+          f"lyapunov worst margin {report.lyapunov_worst_margin!r}")
     return 0 if report.valid else EXIT_INVALID
 
 
@@ -304,7 +305,8 @@ def cmd_report(args):
         f"- srf failures: {report.srf_failures} of {report.srf_samples}",
         f"- lyapunov failures: {report.lyapunov_failures} "
         f"of {report.lyapunov_samples}",
-        f"- worst sampled margin: {report.worst_margin!r}",
+        f"- srf worst margin: {report.srf_worst_margin!r}",
+        f"- lyapunov worst margin: {report.lyapunov_worst_margin!r}",
         "",
         "## simulation",
         f"- realizations: {stats['realizations']}, steps: {stats['steps']}, "

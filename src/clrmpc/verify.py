@@ -3,9 +3,10 @@
 Nothing here trusts the synthesis pipeline: multiplier identities are
 re-evaluated from the stored data, set inclusions are decided by row-wise
 support LPs that never look at the multipliers, recursive feasibility is
-Monte-Carlo tested by literally propagating the plant and the stored
-feedback law, and the value-function decrease is checked one closed-loop
-step at a time.  Failures are counted, never repaired.
+tested by literally propagating the plant and the stored feedback law from
+those LPs' maximizers and random hull mixtures of them, and the
+value-function decrease is checked one closed-loop step at a time.
+Failures are counted, never repaired.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from .utils import VECTOR, read_keyed, write_keyed
 
 RESIDUAL_TOL = 1e-6
 SAMPLE_TOL = 1e-7
-INCLUSION_TOL = 1e-7
 
 REPORT_HEADER = "# verification report, toolkit text format v1"
 
@@ -36,9 +36,9 @@ class VerificationReport:
     """Aggregated outcome; valid only if every residual and count clears.
 
     farkas_residuals holds one dict per hull vertex with keys negativity,
-    equality, inequality, each a nonnegative residual.  worst_margin is
-    the closest approach to violation over all sampled checks, so a
-    comfortable certificate reports a clearly negative number.
+    equality, inequality, each a nonnegative residual.  Each worst margin
+    is its check's closest approach to violation: a certificate with room
+    reports a clearly negative number.
     """
 
     farkas_residuals: list
@@ -48,10 +48,6 @@ class VerificationReport:
     lyapunov_samples: int
     lyapunov_failures: int
     lyapunov_worst_margin: float
-
-    @property
-    def worst_margin(self):
-        return max(self.srf_worst_margin, self.lyapunov_worst_margin)
 
     @property
     def valid(self):
@@ -105,70 +101,52 @@ def check_farkas(cert, bundle, sys, w):
             for lam, outer_h in zip(cert.multipliers, outers)]
 
 
-def contains(outer_h, outer_rhs, inner_h, inner_rhs):
-    """Decide polytope inclusion by support LPs, one per outer row.
+def _support_lps(outer_h, inner_h, inner_rhs):
+    """Maximize each outer row over {z : inner_h z <= inner_rhs}.
 
-    Inclusion holds iff every outer row's support over the inner set
-    stays below its bound.  An empty inner set makes the inclusion
-    vacuously true; the solver certifies it as an infeasible support LP.
+    One LP per row, none skipped: returns each row's value and a maximizer
+    (a row of the returned matrix).  An empty inner set, certified as an
+    infeasible LP, gives -inf values; a row unbounded above gives +inf.
+    Such rows have NaN points.
     """
-    outer_h = np.asarray(outer_h, dtype=float)
-    outer_rhs = np.asarray(outer_rhs, dtype=float)
-    inner_h = np.asarray(inner_h, dtype=float)
-    inner_rhs = np.asarray(inner_rhs, dtype=float)
     if outer_h.shape[1] != inner_h.shape[1]:
         raise ValueError("polytopes live in different ambient dimensions")
-    for row, bound in zip(outer_h, outer_rhs):
+    values = np.full(outer_h.shape[0], np.inf)
+    points = np.full(outer_h.shape, np.nan)
+    for i, row in enumerate(outer_h):
         sol = qpsolver.linear_program(-row, a_in=inner_h, b_in=inner_rhs)
         if sol.status == qpsolver.INFEASIBLE:
-            return True
+            return np.full(outer_h.shape[0], -np.inf), points
         if sol.status == qpsolver.UNBOUNDED:
-            return False
+            continue
         if sol.status != qpsolver.OPTIMAL:
             raise SolverFailure("support LP ended with " + sol.status)
-        if row @ sol.x > bound + INCLUSION_TOL:
-            return False
-    return True
+        values[i] = row @ sol.x
+        points[i] = sol.x
+    return values, points
 
 
 def shifted_set_inclusions(cert, bundle, sys, w):
-    """The gain condition as pure geometry, one inclusion per vertex.
+    """The gain condition as pure geometry: every successor row's support.
 
     The lifted current set {(s, w)} must map into the tightened set under
-    each vertex's one-step matrices; decided entirely by support LPs so
-    the multipliers are never consulted.
+    each vertex's one-step matrices.  Returns (values, points): values[j, i]
+    is the maximum of vertex j's successor row i over the lifted set and
+    points[j, i] a maximizer (s, w).  The inclusion holds where
+    values <= bt + SAMPLE_TOL; no multiplier is consulted.
     """
-    inner_h, inner_rhs, outers, bt = _stacked_sets(cert, bundle, sys, w)
-    return [contains(outer_h, bt, inner_h, inner_rhs)
-            for outer_h in outers]
+    inner_h, inner_rhs, outers, _ = _stacked_sets(cert, bundle, sys, w)
+    values, points = zip(*(_support_lps(outer_h, inner_h, inner_rhs)
+                           for outer_h in outers))
+    return np.array(values), np.array(points)
 
 
-def _successor_margin(bundle, sys, bt, s, w_vec, delta, u_next):
-    """Constraint margin of one literal one-step candidate.
-
-    The successor state follows the plant equations at the given
-    uncertainty matrix; the candidate plan is supplied by the caller.
-    Positive return means some tightened row is violated.
-    """
+def _successor_values(bundle, sys, z, delta, u_next):
+    """Constraint rows at the plant's literal successor of z = (s, w) and
+    the plan u_next."""
     n_x, n_u = bundle.n_x, bundle.n_u
-    x_next = sys.step(s[:n_x], s[n_x:n_x + n_u], w_vec, delta)
-    stacked = bundle.s_mat @ np.concatenate([x_next, u_next])
-    return float((bundle.h_xu @ stacked - bt).max())
-
-
-def _sample_point(a_lp, bt, rng, pool):
-    """Point in the tightened set: LP vertex or mixture of earlier draws."""
-    if len(pool) >= 2 and rng.random() < 0.5:
-        take = min(len(pool), 4)
-        idx = rng.choice(len(pool), size=take, replace=False)
-        wts = rng.dirichlet(np.ones(take))
-        return sum(t * pool[i] for t, i in zip(wts, idx))
-    sol = qpsolver.linear_program(rng.standard_normal(a_lp.shape[1]),
-                                  a_in=a_lp, b_in=bt)
-    if sol.status != qpsolver.OPTIMAL:
-        raise SolverFailure("sampling LP ended with " + sol.status)
-    pool.append(sol.x.copy())
-    return sol.x
+    x_next = sys.step(z[:n_x], z[n_x:n_x + n_u], z[bundle.n_s:], delta)
+    return bundle.h_xu @ (bundle.s_mat @ np.concatenate([x_next, u_next]))
 
 
 @dataclass
@@ -178,37 +156,53 @@ class SampleCheck:
     worst_margin: float
 
 
-def srf_monte_carlo(cert, bundle, sys, w, samples, rng):
-    """Sampled recursive feasibility of the stored feedback law.
+def srf_monte_carlo(cert, bundle, sys, supports, samples, rng):
+    """Recursive feasibility of the stored feedback law, propagated literally.
 
-    Each sample draws a point of the tightened set, a disturbance, and a
-    hull vertex, then checks the literal one-step candidate built with
-    that vertex's gains; a second check moves to a random interior
-    uncertainty matrix and mixes the per-vertex candidates with the same
-    hull weights, which is the convex-combination argument made concrete.
+    A vertex's successor margin is affine in (s, w), so it peaks at one of
+    the maximizers in supports (from shifted_set_inclusions).  Each goes
+    through the plant with its vertex's candidate plan, and fails on a
+    literal or LP margin above SAMPLE_TOL, or on a literal row that misses
+    the LP's value by more.  Each sample then draws a row and hull weights
+    tau: the tau-mixed candidate at sum tau_j delta_j and the tau-mixture
+    of that row's maximizers.
     """
     if int(samples) < 1:
         raise ValueError("samples must be positive")
+    values, points = supports
     bt = bundle.tightened(cert.tightenings)
-    pool = []
+    n_s = bundle.n_s
     failures = 0
     worst = -np.inf
-    for _ in range(int(samples)):
-        s = _sample_point(bundle.a_lp, bt, rng, pool)
-        w_vec = model.sample_disturbance(w, rng)
-        cands = [prediction.candidate_inputs(bundle, g, sys, s, w_vec)
-                 for g in cert.gains]
-        j = int(rng.integers(sys.n_delta))
-        margin = _successor_margin(bundle, sys, bt, s, w_vec,
-                                   sys.deltas[j], cands[j])
-        tau = rng.dirichlet(np.ones(sys.n_delta))
-        mix = sum(t * d for t, d in zip(tau, sys.deltas))
-        u_mix = sum(t * u for t, u in zip(tau, cands))
-        inner = _successor_margin(bundle, sys, bt, s, w_vec, mix, u_mix)
-        for m in (margin, inner):
-            worst = max(worst, m)
-            if m > SAMPLE_TOL:
+
+    def candidate(j, z):
+        return prediction.candidate_inputs(bundle, cert.gains[j], sys,
+                                           z[:n_s], z[n_s:])
+
+    for j, delta in enumerate(sys.deltas):
+        for i, (value, z) in enumerate(zip(values[j], points[j])):
+            if not np.isfinite(value):
+                # -inf: the lifted set is empty; +inf: unbounded along row i
+                failures += int(value > 0)
+                continue
+            rows = _successor_values(bundle, sys, z, delta, candidate(j, z))
+            margin = float(max((rows - bt).max(), value - bt[i]))
+            worst = max(worst, margin)
+            if margin > SAMPLE_TOL or abs(rows[i] - value) > SAMPLE_TOL:
                 failures += 1
+    for _ in range(int(samples)):
+        i = int(rng.integers(values.shape[1]))
+        tau = rng.dirichlet(np.ones(sys.n_delta))
+        if not np.isfinite(values[:, i]).all():
+            continue
+        z = tau @ points[:, i]
+        mix = sum(t * d for t, d in zip(tau, sys.deltas))
+        u_mix = sum(t * candidate(j, z) for j, t in enumerate(tau))
+        margin = float((_successor_values(bundle, sys, z, mix, u_mix)
+                        - bt).max())
+        worst = max(worst, margin)
+        if margin > SAMPLE_TOL:
+            failures += 1
     return SampleCheck(samples=int(samples), failures=failures,
                        worst_margin=worst)
 
@@ -283,17 +277,15 @@ def lyapunov_check(ctrl, sys, w, samples, rng):
 
 
 def verify_certificate(cert, sys, w, c, srf_samples, lyapunov_samples, rng):
-    """Full independent pass; also insists on the multiplier-free
-    inclusion route agreeing with the multipliers."""
+    """Full independent pass.  One set of support LPs decides both the
+    multiplier-free inclusion and recursive feasibility, so a certificate
+    whose containment fails gets an invalid report, whatever its
+    multipliers say."""
     ctrl = mpc.make_controller(sys, w, c, cert)
     bundle = ctrl.bundle
     residuals = check_farkas(cert, bundle, sys, w)
-    # the inclusions can only contradict a clean Farkas check
-    if (farkas_clean(residuals)
-            and not all(shifted_set_inclusions(cert, bundle, sys, w))):
-        raise SolverFailure(
-            "multiplier certificate and support-LP inclusion disagree")
-    srf = srf_monte_carlo(cert, bundle, sys, w, srf_samples, rng)
+    supports = shifted_set_inclusions(cert, bundle, sys, w)
+    srf = srf_monte_carlo(cert, bundle, sys, supports, srf_samples, rng)
     lyap = lyapunov_check(ctrl, sys, w, lyapunov_samples, rng)
     return VerificationReport(
         farkas_residuals=residuals,

@@ -216,6 +216,28 @@ def test_report_command(pipeline_dir, tmp_path):
     assert cli.main(["report", "--dir", str(tmp_path)]) == 1
 
 
+def test_verify_and_report_print_both_worst_margins(pipeline_dir, tmp_path,
+                                                    capsys):
+    # one max over both checks would hide the Lyapunov margin behind the
+    # SRF one, so each is printed on its own line
+    shutil.copy(pipeline_dir / "out" / "certificate.txt", tmp_path)
+    assert cli.main(["verify", "--model", str(pipeline_dir / "scalar.model"),
+                     "--certificate", str(tmp_path / "certificate.txt"),
+                     "--out", str(tmp_path), "--srf-samples", "20",
+                     "--lyap-samples", "5", "--seed", "2"]) == 0
+    printed = capsys.readouterr().out
+    report = verify.read_report((tmp_path / "report.txt").read_text())
+    assert f"srf worst margin {report.srf_worst_margin!r}" in printed
+    assert f"lyapunov worst margin {report.lyapunov_worst_margin!r}" in printed
+    flags = ["--realizations", "1", "--steps", "2", "--seed", "3"]
+    assert cli.main(simulate_args(pipeline_dir, tmp_path, flags)) == 0
+    assert cli.main(["report", "--dir", str(tmp_path)]) == 0
+    text = (tmp_path / "report.md").read_text()
+    assert f"- srf worst margin: {report.srf_worst_margin!r}" in text
+    assert (f"- lyapunov worst margin: {report.lyapunov_worst_margin!r}"
+            in text)
+
+
 def test_builtin_loader_matches_constructor():
     import argparse
     ns = argparse.Namespace(builtin="msd", model=None)

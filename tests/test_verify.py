@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clrmpc import model, mpc, qpsolver, synthesis, verify
+from clrmpc import model, mpc, prediction, qpsolver, synthesis, verify
 from clrmpc.errors import ModelFormatError, SolverFailure
 from clrmpc.utils import make_rng, sha256_hex
 from oracles import polytope_vertices
@@ -46,26 +46,32 @@ def test_farkas_flags_defects():
     assert res["equality"] > 0.0
 
 
+def included(outer_h, outer_rhs, inner_h, inner_rhs):
+    values, _ = verify._support_lps(outer_h, inner_h, inner_rhs)
+    return bool((values <= outer_rhs + verify.SAMPLE_TOL).all())
+
+
 def test_contains_boxes():
     small_h, small_rhs = box(2, 1.0)
     big_h, big_rhs = box(2, 2.0)
-    assert verify.contains(big_h, big_rhs, small_h, small_rhs)
-    assert not verify.contains(small_h, small_rhs, big_h, big_rhs)
+    assert included(big_h, big_rhs, small_h, small_rhs)
+    assert not included(small_h, small_rhs, big_h, big_rhs)
 
 
 def test_contains_empty_inner_is_vacuous():
     inner_h = np.array([[1.0], [-1.0]])
     inner_rhs = np.array([-1.0, -1.0])
-    assert verify.contains(*box(1, 1.0), inner_h, inner_rhs)
+    assert included(*box(1, 1.0), inner_h, inner_rhs)
 
 
 def test_contains_dimension_mismatch():
     with pytest.raises(ValueError):
-        verify.contains(*box(2, 1.0), *box(3, 1.0))
+        included(*box(2, 1.0), *box(3, 1.0))
 
 
 def test_contains_matches_vertex_enumeration():
-    # random low-dimensional pairs against the combinatorial oracle
+    # random low-dimensional pairs against the combinatorial oracle; every
+    # row's maximizer lies in the inner set and attains the row's value
     rng = make_rng(101)
     checked = 0
     for trial in range(50):
@@ -78,12 +84,14 @@ def test_contains_matches_vertex_enumeration():
         outer_h = rng.standard_normal((2 * n + 1, n))
         outer_rhs = rng.uniform(0.2, 2.0, size=2 * n + 1)
         verts = polytope_vertices(inner_h, inner_rhs)
-        included = verify.contains(outer_h, outer_rhs, inner_h, inner_rhs)
+        values, points = verify._support_lps(outer_h, inner_h, inner_rhs)
         if not verts:
-            assert included
+            assert (values == -np.inf).all()
             continue
-        expect = all((outer_h @ v <= outer_rhs + 1e-7).all() for v in verts)
-        assert included == expect
+        best = np.max([outer_h @ v for v in verts], axis=0)
+        assert np.abs(values - best).max() <= 1e-7
+        assert (points @ inner_h.T <= inner_rhs + 1e-7).all()
+        assert np.abs((outer_h * points).sum(axis=1) - values).max() <= 1e-12
         checked += 1
     assert checked >= 30
 
@@ -100,15 +108,25 @@ def test_check_farkas_on_synthesized_certificate(msd_controller):
 def test_inclusions_agree_with_multipliers(scalar_uncertain_controller):
     ctrl, sys, w, c = scalar_uncertain_controller
     cert = ctrl.certificate
-    out = verify.shifted_set_inclusions(cert, ctrl.bundle, sys, w)
-    assert len(out) == sys.n_delta
-    assert all(out)
+    values, points = verify.shifted_set_inclusions(cert, ctrl.bundle, sys, w)
+    bt = ctrl.bundle.tightened(cert.tightenings)
+    assert values.shape == (sys.n_delta, bt.size)
+    assert points.shape == (sys.n_delta, bt.size,
+                            ctrl.bundle.n_s + w.dim)
+    assert (values <= bt + verify.SAMPLE_TOL).all()
+
+
+def srf(ctrl, sys, w, samples, rng, cert=None):
+    """Support LPs of cert (default the controller's), then the SRF check."""
+    cert = ctrl.certificate if cert is None else cert
+    supports = verify.shifted_set_inclusions(cert, ctrl.bundle, sys, w)
+    return verify.srf_monte_carlo(cert, ctrl.bundle, sys, supports, samples,
+                                  rng)
 
 
 def test_srf_clean_on_certain_scalar(scalar_certain_controller):
     ctrl, sys, w, c = scalar_certain_controller
-    res = verify.srf_monte_carlo(ctrl.certificate, ctrl.bundle, sys, w,
-                                 200, make_rng(7))
+    res = srf(ctrl, sys, w, 200, make_rng(7))
     assert res.samples == 200
     assert res.failures == 0
     assert res.worst_margin <= verify.SAMPLE_TOL
@@ -116,8 +134,7 @@ def test_srf_clean_on_certain_scalar(scalar_certain_controller):
 
 def test_srf_clean_on_uncertain_scalar(scalar_uncertain_controller):
     ctrl, sys, w, c = scalar_uncertain_controller
-    res = verify.srf_monte_carlo(ctrl.certificate, ctrl.bundle, sys, w,
-                                 300, make_rng(8))
+    res = srf(ctrl, sys, w, 300, make_rng(8))
     assert res.failures == 0
 
 
@@ -129,7 +146,7 @@ def test_srf_negative_control(scalar_uncertain_controller):
     corrupt = cert.tightenings.copy()
     corrupt[n_c:2 * n_c] *= 0.5
     bad = dataclasses.replace(cert, tightenings=corrupt)
-    res = verify.srf_monte_carlo(bad, ctrl.bundle, sys, w, 300, make_rng(9))
+    res = srf(ctrl, sys, w, 300, make_rng(9), cert=bad)
     assert res.failures > 0
     assert res.worst_margin > verify.SAMPLE_TOL
 
@@ -137,6 +154,28 @@ def test_srf_negative_control(scalar_uncertain_controller):
 def test_srf_rejects_empty_sampling():
     with pytest.raises(ValueError):
         verify.srf_monte_carlo(None, None, None, None, 0, make_rng(0))
+
+
+@pytest.mark.parametrize("wrong", ["gains", "halved"])
+def test_srf_catches_successor_rows_that_miss_the_plant(
+        scalar_uncertain_controller, monkeypatch, wrong):
+    # the support LPs trust prediction.successor_rows; the literal
+    # propagation does not.  Halved rows keep every support inside the
+    # bound at the true maximizers, so only the mismatch test can count.
+    ctrl, sys, w, c = scalar_uncertain_controller
+    real = prediction.successor_rows
+
+    def rows(bundle, gains, sys_, vertex):
+        if wrong == "halved":
+            return 0.5 * real(bundle, gains, sys_, vertex)
+        return real(bundle, dataclasses.replace(
+            gains, m_gains=1.001 * gains.m_gains), sys_, vertex)
+
+    monkeypatch.setattr(prediction, "successor_rows", rows)
+    res = srf(ctrl, sys, w, 50, make_rng(1))
+    assert res.failures > 0
+    if wrong == "halved":
+        assert res.worst_margin <= verify.SAMPLE_TOL
 
 
 def test_lyapunov_clean_scalar(scalar_uncertain_controller):
@@ -219,8 +258,6 @@ def test_verify_certificate_report(scalar_uncertain_controller):
     assert report.valid
     assert report.srf_samples == 100
     assert report.lyapunov_samples == 20
-    assert report.worst_margin == max(report.srf_worst_margin,
-                                      report.lyapunov_worst_margin)
     text = verify.write_report(report)
     back = verify.read_report(text)
     assert back.valid == report.valid
@@ -230,40 +267,73 @@ def test_verify_certificate_report(scalar_uncertain_controller):
 
 
 def test_report_of_committed_certificate_is_pinned():
-    # the Farkas check, the inclusions, the sampling and the online solve,
-    # byte for byte; a change that moves the online solve in its last
-    # digits, or the random numbers a sample draws, updates this hash and
-    # says so in CHANGES.md with both hashes
+    # the Farkas check, the support LPs and their propagated maximizers,
+    # the tau draws and the online solve, byte for byte; a change that
+    # moves the online solve in its last digits, or the random numbers a
+    # sample draws, updates this hash and says so in CHANGES.md with both
+    # hashes.  It last moved when the SRF check went from sampling LPs to
+    # the support LPs' maximizers, which also shifted the Lyapunov draws.
     sys_m, w_m, c_m = model.build_msd()
     cert = synthesis.read_certificate(COMMITTED.read_text())
     report = verify.verify_certificate(cert, sys_m, w_m, c_m, srf_samples=400,
                                        lyapunov_samples=8, rng=make_rng(1))
     assert sha256_hex(verify.write_report(report)) == (
-        "9f6902fedb773485812b9b773bf06cd9edf5079db290677086542c2c1e234f97")
+        "006bf517654fc0e34f6906107e374a372382f183c5f184338d8986b06dc21eab")
 
 
-def test_failed_farkas_check_skips_the_inclusions(monkeypatch):
-    # the inclusions can only contradict a clean Farkas check, so a
-    # certificate that fails it gets its report without support LPs
+@pytest.mark.parametrize("negate", [False, True], ids=["clean", "negated"])
+def test_verify_certificate_solves_each_support_lp_once(monkeypatch, negate):
+    # 4 vertices x 96 successor rows serve both the inclusion and the SRF
+    # check, whatever the Farkas check says; the only other LP is one
+    # boundary LP per Lyapunov sample, and the SRF draws solve none
     sys_m, w_m, c_m = model.build_msd()
     cert = synthesis.read_certificate(COMMITTED.read_text())
-    lam = np.array(cert.multipliers[0], dtype=float)
-    lam.flat[lam.argmax()] *= -1.0
-    bad = dataclasses.replace(
-        cert, multipliers=[lam] + list(cert.multipliers[1:]))
-    real_contains = verify.contains
+    if negate:
+        lam = np.array(cert.multipliers[0], dtype=float)
+        lam.flat[lam.argmax()] *= -1.0
+        cert = dataclasses.replace(
+            cert, multipliers=[lam] + list(cert.multipliers[1:]))
+    real_lp = qpsolver.linear_program
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return real_contains(*args)
+        return real_lp(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "contains", counted)
-    report = verify.verify_certificate(bad, sys_m, w_m, c_m, srf_samples=4,
+    monkeypatch.setattr(qpsolver, "linear_program", counted)
+    report = verify.verify_certificate(cert, sys_m, w_m, c_m, srf_samples=50,
+                                       lyapunov_samples=3, rng=make_rng(1))
+    assert len(calls) == 4 * 96 + 3
+    assert report.srf_failures == 0
+    assert report.valid != negate
+    if negate:
+        assert report.farkas_residuals[0]["negativity"] > verify.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("row", [0, 2, 13])
+def test_farkas_clean_certificate_that_fails_containment_is_invalid(row):
+    # one tightening entry raised by 5e-7: the multipliers still pass at
+    # RESIDUAL_TOL, the containment fails at SAMPLE_TOL, and the verdict is
+    # an invalid report, not an exception
+    sys_m, w_m, c_m = model.build_msd()
+    cert = synthesis.read_certificate(COMMITTED.read_text())
+    t = cert.tightenings.copy()
+    t[row] += 5e-7
+    bad = dataclasses.replace(cert, tightenings=t)
+    ctrl = mpc.make_controller(sys_m, w_m, c_m, bad)
+    assert verify.farkas_clean(verify.check_farkas(bad, ctrl.bundle, sys_m,
+                                                   w_m))
+    report = verify.verify_certificate(bad, sys_m, w_m, c_m, srf_samples=20,
                                        lyapunov_samples=2, rng=make_rng(1))
+    assert report.srf_failures > 0
     assert not report.valid
-    assert report.farkas_residuals[0]["negativity"] > verify.RESIDUAL_TOL
-    assert calls == []
+
+
+def test_tolerance_chain_is_ordered():
+    # synthesis gates on nothing verify would reject: its worst slack gate
+    # is no looser than the containment tolerance, which is no looser than
+    # the Farkas residual tolerance
+    assert synthesis.SIGMA_GATE <= verify.SAMPLE_TOL <= verify.RESIDUAL_TOL
 
 
 def test_report_rejects_tampered_verdict(scalar_uncertain_controller):
