@@ -13,18 +13,26 @@ Artifact layout inside the output directory:
   runs/run_NNN.csv, summary.csv, stats.txt,
   envelope.csv, envelope.svg, sim_log.txt     from simulate
   report.md                                   from report
+
+BLAS is pinned to one thread here, before numpy loads: a threaded product
+sums in another order, and the certificate moves in its last digits.
 """
 
-import argparse
-import sys
-import time
-from pathlib import Path
+import os
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from . import model, mpc, sim, synthesis, verify
-from .utils import make_rng, parse_value, read_keyed, write_keyed
-from .errors import (
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from . import model, mpc, sim, synthesis, verify  # noqa: E402
+from .utils import make_rng, parse_value, read_keyed, write_keyed  # noqa: E402
+from .errors import (  # noqa: E402
     FingerprintMismatch,
     Infeasible,
     InfeasibleLmi,
@@ -101,7 +109,8 @@ def cmd_synth(args):
         lines.append(f"alternation {i}: objective = {obj!r}")
     lines.append(f"alpha = {cert.alpha!r}")
     lines.append(f"objective = {cert.objective!r}")
-    lines.append(f"terminal_slack = {cert.cost.slack!r}")
+    lines.append("terminal_slack = "
+                 f"{verify.terminal_slack(cert, ctrl.bundle, sys_m)!r}")
     lines.append(f"farkas_sigma_max = {sigma_max!r}")
     for j, d in enumerate(residuals):
         lines.append(f"vertex {j}: negativity = {d['negativity']!r}, "
@@ -128,7 +137,9 @@ def cmd_verify(args):
           f"srf {report.srf_failures}/{report.srf_samples} failures, "
           f"lyapunov {report.lyapunov_failures}/{report.lyapunov_samples}\n"
           f"srf worst margin {report.srf_worst_margin!r}\n"
-          f"lyapunov worst margin {report.lyapunov_worst_margin!r}")
+          f"lyapunov worst margin {report.lyapunov_worst_margin!r}\n"
+          f"terminal slack {report.terminal_slack!r} "
+          f"(p_margin {report.p_margin!r})")
     return 0 if report.valid else EXIT_INVALID
 
 
@@ -297,7 +308,6 @@ def cmd_report(args):
         f"- horizon: {cert.n}",
         f"- objective: {cert.objective!r}",
         f"- alpha: {cert.alpha!r}",
-        f"- terminal slack: {cert.cost.slack!r}",
         "",
         "## verification",
         f"- verdict: {'VALID' if report.valid else 'FAILED'}",
@@ -307,6 +317,8 @@ def cmd_report(args):
         f"of {report.lyapunov_samples}",
         f"- srf worst margin: {report.srf_worst_margin!r}",
         f"- lyapunov worst margin: {report.lyapunov_worst_margin!r}",
+        f"- terminal slack: {report.terminal_slack!r} "
+        f"(p_margin {report.p_margin!r})",
         "",
         "## simulation",
         f"- realizations: {stats['realizations']}, steps: {stats['steps']}, "

@@ -12,11 +12,24 @@ n + m_eq:
 
 with d = s / z the scaling from the current slack/dual pair.  The system is
 positive definite when there are no equality rows (Cholesky), otherwise
-symmetric indefinite (LDL' with Bunch-Kaufman pivoting).  One step of
-iterative refinement keeps the direction usable when d is badly scaled.
-Every problem shape takes this one path; without inequality rows the
-complementarity measure is 0 and the loop is Newton's method on the
-equality KKT system.
+symmetric indefinite (LDL' with Bunch-Kaufman pivoting), once per
+iteration for both directions.  One step of iterative refinement keeps
+each direction usable when d is badly scaled.  Every problem shape takes
+this one path; without inequality rows the complementarity measure is 0
+and the loop is Newton's method on the equality KKT system.
+
+The loop iterates a stack of problems; a single QpProblem is a stack of
+one, in the vector arithmetic above.  linear_program with a 2-D f makes a
+stack of LPs that share their inequality rows and differ in f (in the
+spirit of the structure-exploiting interior point methods of Gondzio and
+Grothey).  A member's Newton system is then its normal matrix
+a_in' diag(1/d) a_in: all members' matrices come from one product and are
+solved by one batched LU solve, with the same refinement pass.  The step
+rule, the centering, the stop test and the divergence and stall guards
+act per member, and a member leaves the stack when it meets the stop test
+or a guard ends its iteration.  A member that met the stop test goes
+through the crossover as a single problem does; any other is solved again
+on its own by solve_qp.
 
 After the iteration a crossover solves the KKT system of the guessed
 active set.  A candidate point is accepted as exact only through
@@ -197,8 +210,9 @@ def _ldl_solver(kmat):
     return solve
 
 
-def _solve_kkt(hbar, a_eq, rhs_x, rhs_y, reg):
-    """Solve the regularized reduced KKT system with one refinement pass.
+def _kkt_solver(hbar, a_eq, reg):
+    """Solver of the regularized reduced KKT system: factored once, with
+    one refinement pass per solve.
 
     Without equality rows the matrix is positive definite and is factored
     by Cholesky; with them, or when Cholesky breaks down, by LDL'.  If the
@@ -212,36 +226,39 @@ def _solve_kkt(hbar, a_eq, rhs_x, rhs_y, reg):
         kmat[:n, n:] = a_eq.T
         kmat[n:, :n] = a_eq
         kmat[n:, n:] = -reg * np.eye(me)
-        rhs = np.concatenate([rhs_x, rhs_y])
     else:
         kmat = hbar.copy()
-        rhs = rhs_x
     dim = n + me
     # kmat is contiguous, so ravel is a view: reg on the first n diagonal entries
     kmat.ravel()[:n * (dim + 1):dim + 1] += reg
-    solve = None
+    factor = None
     if me == 0:
         chol, info = _POTRF(kmat, lower=1, clean=0)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of potrf")
         if info == 0:
-            solve = partial(_cholesky_solve, chol)
-    if solve is None:
-        solve = _ldl_solver(kmat)
-    sol = solve(rhs)
-    if np.isfinite(sol).all():
-        sol = sol + solve(rhs - kmat @ sol)
-    else:
-        sol = np.linalg.lstsq(kmat, rhs, rcond=None)[0]
-    return sol[:n], sol[n:]
+            factor = partial(_cholesky_solve, chol)
+    if factor is None:
+        factor = _ldl_solver(kmat)
+
+    def solve(rhs_x, rhs_y):
+        rhs = np.concatenate([rhs_x, rhs_y]) if me else rhs_x
+        sol = factor(rhs)
+        if np.isfinite(sol).all():
+            sol = sol + factor(rhs - kmat @ sol)
+        else:
+            sol = np.linalg.lstsq(kmat, rhs, rcond=None)[0]
+        return sol[:n], sol[n:]
+
+    return solve
 
 
 def _max_step(v, dv):
-    """Step of 0.99 times the distance to the boundary v + alpha dv = 0."""
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return float(min(1.0, STEP_FRACTION * (-v[neg] / dv[neg]).min()))
+    """Per member, the step of 0.99 times the distance to the boundary
+    v + alpha dv = 0, at most 1; v > 0."""
+    # v / -dv where dv < 0; inf elsewhere, without dividing by zero
+    ratio = np.where(dv < 0, v, np.inf) / np.maximum(-dv, 5e-324)
+    return np.minimum(1.0, STEP_FRACTION * ratio.min(axis=1, initial=np.inf))
 
 
 def _scales(prob):
@@ -261,97 +278,229 @@ def _objective(prob, x):
     return 0.5 * float(x @ (prob.h @ x)) + float(prob.f @ x)
 
 
-def _ipm(prob, scale_p, scale_d):
-    """Core iteration. Returns (x, y, z, status, iters, residual_triplet)."""
-    h, f, a_eq, b_eq, a_in, b_in = (
-        prob.h, prob.f, prob.a_eq, prob.b_eq, prob.a_in, prob.b_in)
-    me = a_eq.shape[0]
-    mi = a_in.shape[0]
-    reg = REG * scale_d
+class _Dense:
+    """One QpProblem as a stack of one, in its own vector arithmetic.
 
-    x = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0] if me else np.zeros(prob.n)
-    y = np.zeros(me)
-    s = np.maximum(1.0, b_in - a_in @ x)
-    z = np.ones(mi)
+    The loop's per-member arrays have one row; the products are taken on
+    that row, with the reduced KKT system of _kkt_solver.
+    """
+
+    def __init__(self, prob):
+        self.prob = prob
+
+    def start(self):
+        p = self.prob
+        me = p.a_eq.shape[0]
+        x = np.linalg.lstsq(p.a_eq, p.b_eq, rcond=None)[0] if me else np.zeros(p.n)
+        s = np.maximum(1.0, p.b_in - p.a_in @ x)
+        return x[None], np.zeros((1, me)), s[None], np.ones((1, s.shape[0]))
+
+    def residuals(self, live, x, y, s, z):
+        p = self.prob
+        x, y, s, z = x[0], y[0], s[0], z[0]
+        me = y.shape[0]
+        rd = p.h @ x + p.f + p.a_in.T @ z + (p.a_eq.T @ y if me else 0.0)
+        re = p.a_eq @ x - p.b_eq if me else np.zeros(0)
+        ri = p.a_in @ x + s - p.b_in
+        # without inequality rows there is no complementarity to reduce
+        mu = float(s @ z) / max(s.shape[0], 1)
+        return rd[None], re[None], ri[None], np.array([mu])
+
+    def objective(self, member, x):
+        return _objective(self.prob, x)
+
+    def column(self, v):
+        # the one member's number, which broadcasts as a scalar
+        return v[0]
+
+    def newton(self, live, d, rd, re, reg):
+        p = self.prob
+        gd = p.a_in / d[0][:, None]
+        solve = _kkt_solver(p.h + gd.T @ p.a_in, p.a_eq, reg[0])
+        rd, re = -rd[0], -re[0]
+
+        def direction(r3):
+            dx, dy = solve(rd + gd.T @ r3[0], re)
+            return dx[None], dy[None], (p.a_in @ dx)[None]
+
+        return direction
+
+
+def _stack_solve(kmat, rhs):
+    """Solve kmat[i] x = rhs[i] for every member at once.  A member whose
+    matrix is exactly singular gets a NaN solution, which takes it out of
+    the stack."""
+    try:
+        return np.linalg.solve(kmat, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i, (mat, vec) in enumerate(zip(kmat, rhs)):
+            try:
+                out[i] = np.linalg.solve(mat, vec)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+class _Stack:
+    """LPs over one polytope {x : a_in x <= b_in}, one per row of fs.
+
+    A member's Newton system is its normal matrix a_in' diag(1/d) a_in plus
+    the regularization.  All members' matrices come from one product,
+    (1/d) @ outer, where row i of outer is a_i a_i' flattened, and are
+    solved together with the dense path's one refinement pass.
+    """
+
+    def __init__(self, prob, fs):
+        self.prob, self.fs = prob, fs
+        a = prob.a_in
+        self.outer = (a[:, :, None] * a[:, None, :]).reshape(a.shape[0], -1)
+
+    def start(self):
+        k, n = self.fs.shape
+        s = np.tile(np.maximum(1.0, self.prob.b_in), (k, 1))
+        return np.zeros((k, n)), np.zeros((k, 0)), s, np.ones_like(s)
+
+    def residuals(self, live, x, y, s, z):
+        a, b = self.prob.a_in, self.prob.b_in
+        f = self.fs[live]
+        mu = np.einsum("ij,ij->i", s, z) / max(b.shape[0], 1)
+        # no equality rows: y has no columns, and neither has re
+        return f + z @ a, y, x @ a.T + s - b, mu
+
+    def objective(self, member, x):
+        return float(self.fs[member] @ x)
+
+    def column(self, v):
+        return v[:, None]
+
+    def newton(self, live, d, rd, re, reg):
+        a = self.prob.a_in
+        k, n = rd.shape
+        dinv = 1.0 / d
+        kmat = (dinv @ self.outer).reshape(k, n, n)
+        kmat[:, np.arange(n), np.arange(n)] += reg[:, None]
+
+        def direction(r3):
+            rhs = (r3 * dinv) @ a - rd
+            dx = _stack_solve(kmat, rhs)
+            dx = dx + _stack_solve(kmat, rhs - (kmat @ dx[:, :, None])[:, :, 0])
+            return dx, re, dx @ a.T
+
+        return direction
+
+
+def _newton_step(kind, live, s, z, rd, re, ri, mu, reg):
+    """Predictor-corrector direction (dx, dy, dz, ds) of the live members,
+    with fixed centering.  The Newton system and the predictor die with
+    this call, before the step is taken."""
+    d = np.minimum(np.maximum(s / z, 1e-16), 1e16)
+    direction = kind.newton(live, d, rd, re, reg)
 
     def newton(rc):
         # Newton direction of the KKT equations at the current iterate,
         # with complementarity target s z = rc
         r3 = -ri + rc / z
-        rhs_x = -rd + gd.T @ r3
-        dx, dy = _solve_kkt(hbar, a_eq, rhs_x, -re, reg)
-        return dx, dy, (a_in @ dx - r3) / d, -ri - a_in @ dx
+        dx, dy, adx = direction(r3)
+        return dx, dy, (adx - r3) / d, -ri - adx
 
-    status = MAXITER
-    mu_hist = []
+    # predictor: pure Newton on the KKT equations
+    _, _, dz_a, ds_a = newton(s * z)
+    # corrector with fixed centering
+    return newton(s * z + ds_a * dz_a - SIGMA * kind.column(mu))
+
+
+def _ipm(kind, scale_p, scale_d):
+    """The predictor-corrector loop, over a stack of problems.
+
+    kind supplies the members' start, residuals and Newton directions, as
+    arrays with one row per member still in the stack; the step rule, the
+    centering, the stop test and the guards are here and act per member.
+    A member leaves the stack when it meets the stop test or a guard ends
+    its iteration.  scale_d holds each member's dual scale.  Returns one
+    tuple per member: x, y, z, whether it met the stop test, its
+    iterations and its residual triplet (stationarity, primal,
+    complementarity) at its last evaluation.
+    """
+    x, y, s, z = kind.start()
+    k = x.shape[0]
+    ends = [None] * k
+    live = np.arange(k)
+    hists = [[] for _ in range(k)]
+    reg = REG * scale_d
+    tol_d = (TARGET_TOL * scale_d).tolist()
+    tol_p = TARGET_TOL * scale_p
+    n = x.shape[1]
+
+    def leave(keep, oks, res):
+        """Record the members not kept, as they stand; keep as a mask."""
+        for j, (i, kept) in enumerate(zip(live.tolist(), keep)):
+            if not kept:
+                # copies, so that no member keeps a stack's arrays alive
+                ends[i] = (x[j].copy(), y[j].copy(), z[j].copy(), oks[j], it,
+                           res[j])
+        return np.array(keep)
+
     for it in range(1, MAX_ITER + 1):
-        rd = h @ x + f + a_in.T @ z + (a_eq.T @ y if me else 0.0)
-        re = a_eq @ x - b_eq if me else np.zeros(0)
-        ri = a_in @ x + s - b_in
-        # without inequality rows there is no complementarity to reduce
-        mu = float(s @ z) / max(mi, 1)
-        obj = _objective(prob, x)
-
-        nrd = float(np.abs(rd).max(initial=0.0))
-        nre = float(np.abs(re).max(initial=0.0))
-        nri = float(np.abs(ri).max(initial=0.0))
-        res = (nrd, max(nre, nri), mu)
-        gap_scale = 1.0 + abs(obj)
-        if (
-            nrd <= TARGET_TOL * scale_d
-            and nre <= TARGET_TOL * scale_p
-            and nri <= TARGET_TOL * scale_p
-            and mu <= TARGET_TOL * gap_scale
-        ):
-            status = OPTIMAL
+        rd, re, ri, mu = kind.residuals(live, x, y, s, z)
+        res, oks, keep = [], [], []
+        for j, (i, nrd, nre, nri, m, nx) in enumerate(zip(
+                live.tolist(), np.abs(rd).max(axis=1, initial=0.0).tolist(),
+                np.abs(re).max(axis=1, initial=0.0).tolist(),
+                np.abs(ri).max(axis=1, initial=0.0).tolist(), mu.tolist(),
+                np.abs(x).max(axis=1, initial=0.0).tolist())):
+            res.append((nrd, max(nre, nri), m))
+            # |objective| <= n scale_d |x| (1 + n |x| / 2), so the objective
+            # is evaluated only where the stop test can hinge on it; the
+            # factor 2 covers rounding
+            ok = (nrd <= tol_d[i] and nre <= tol_p and nri <= tol_p
+                  and not m > TARGET_TOL + 2.0 * n * tol_d[i] * nx
+                  * (1.0 + 0.5 * n * nx)
+                  and m <= TARGET_TOL * (1.0 + abs(kind.objective(i, x[j]))))
+            # divergence guard; mu >= 0, so a NaN or infinite mu fails it
+            stop = ok or not m <= 1e16 or nx > 1e14 * scale_p
+            hist = hists[i]
+            hist.append((m, nrd, nre + nri))
+            if not stop and len(hist) > 8:
+                # stall guard: no progress over the last 7 iterations
+                del hist[0]
+                (m0, rd0, rp0), (m1, rd1, rp1) = hist[0], hist[-1]
+                stop = (m1 > 0.9 * m0 and rd1 > 0.9 * rd0 + TARGET_TOL
+                        and rp1 >= 0.9 * rp0)
+            oks.append(ok)
+            keep.append(not stop)
+        if not all(keep):
+            keep = leave(keep, oks, res)
+            live, x, y, s, z, rd, re, ri, mu = (
+                v[keep] for v in (live, x, y, s, z, rd, re, ri, mu))
+            res = [r for r, kept in zip(res, keep) if kept]
+        if not live.size:
             break
 
-        # divergence guard
-        if not np.isfinite(mu) or mu > 1e16 or float(np.abs(x).max(initial=0.0)) > 1e14 * scale_p:
-            status = MAXITER
-            break
-
-        mu_hist.append((mu, nrd, nre + nri))
-        if len(mu_hist) > 8:
-            prev = mu_hist[-8]
-            cur = mu_hist[-1]
-            if cur[0] > 0.9 * prev[0] and cur[1] > 0.9 * prev[1] + TARGET_TOL and cur[2] >= 0.9 * prev[2]:
-                status = MAXITER
+        dx, dy, dz, ds = _newton_step(kind, live, s, z, rd, re, ri, mu,
+                                      reg[live])
+        # primal steps in the first rows, dual steps in the rest
+        steps = _max_step(np.concatenate((s, z)), np.concatenate((ds, dz)))
+        ap, ad = steps[:live.size], steps[live.size:]
+        finite = np.isfinite(np.concatenate((dx, ds, dz), axis=1)).all(axis=1)
+        keep = [f and (a > 1e-12 or b > 1e-12) for f, a, b in
+                zip(finite.tolist(), ap.tolist(), ad.tolist())]
+        if not all(keep):
+            keep = leave(keep, [False] * len(keep), res)
+            live, x, y, s, z, dx, dy, dz, ds, ap, ad = (
+                v[keep] for v in (live, x, y, s, z, dx, dy, dz, ds, ap, ad))
+            res = [r for r, kept in zip(res, keep) if kept]
+            if not live.size:
                 break
 
-        d = np.minimum(np.maximum(s / z, 1e-16), 1e16)
-        gd = a_in / d[:, None]
-        hbar = h + gd.T @ a_in
-
-        # predictor: pure Newton on the KKT equations
-        _, _, dz_a, ds_a = newton(s * z)
-        # corrector with fixed centering
-        dx, dy, dz, ds = newton(s * z + ds_a * dz_a - SIGMA * mu)
-        if not (np.isfinite(dx).all() and np.isfinite(ds).all()
-                and np.isfinite(dz).all()):
-            status = MAXITER
-            break
-        ap = _max_step(s, ds)
-        ad = _max_step(z, dz)
-        if ap <= 1e-12 and ad <= 1e-12:
-            status = MAXITER
-            break
-
+        ap, ad = kind.column(ap), kind.column(ad)
         x = x + ap * dx
         s = np.maximum(s + ap * ds, 1e-300)
         z = np.maximum(z + ad * dz, 1e-300)
-        if me:
+        if y.size:
             y = y + ad * dy
-
-    if status != OPTIMAL:
-        # accept a stalled point that still meets the contract tolerance
-        if (
-            res[0] <= ACCEPT_TOL * scale_d
-            and res[1] <= ACCEPT_TOL * scale_p
-            and res[2] <= ACCEPT_TOL * (1.0 + abs(_objective(prob, x)))
-        ):
-            status = OPTIMAL
-    return x, y, z, status, it, res
+    leave([False] * live.size, [False] * live.size, res)
+    return ends
 
 
 def _kkt_check(prob, x, y, z, scale_p, scale_d):
@@ -450,7 +599,18 @@ def _interior_solve(prob):
     """Interior point, then crossover to the exact solution of the active
     set's KKT system when it checks out; a non-optimal end is not diagnosed."""
     scale_p, scale_d = _scales(prob)
-    x, y, z, status, it, res = _ipm(prob, scale_p, scale_d)
+    x, y, z, ok, it, res = _ipm(_Dense(prob), scale_p, np.array([scale_d]))[0]
+    status = OPTIMAL if ok else MAXITER
+    # accept a stalled point that still meets the contract tolerance
+    if (not ok and res[0] <= ACCEPT_TOL * scale_d
+            and res[1] <= ACCEPT_TOL * scale_p
+            and res[2] <= ACCEPT_TOL * (1.0 + abs(_objective(prob, x)))):
+        status = OPTIMAL
+    return _polished(prob, x, y, z, status, it, res, scale_p, scale_d)
+
+
+def _polished(prob, x, y, z, status, it, res, scale_p, scale_d):
+    """The solution at the loop's end point, or at its crossover point."""
     # a complete KKT certificate also rescues stalled-but-close points
     polished = _crossover(prob, x, y, z, scale_p, scale_d)
     if polished is not None:
@@ -505,11 +665,32 @@ def solve_qp(prob, start=None):
 
 
 def linear_program(f, a_in=None, b_in=None, a_eq=None, b_eq=None):
-    """LP front end: min f' x subject to the supplied constraint blocks."""
-    f = np.asarray(f, dtype=float).ravel()
-    n = f.shape[0]
-    return solve_qp(QpProblem(h=np.zeros((n, n)), f=f, a_eq=a_eq, b_eq=b_eq,
-                              a_in=a_in, b_in=b_in))
+    """LP front end: min f' x subject to the supplied constraint blocks.
+
+    A 2-D f is a stack, one LP per row over the same inequality rows (a
+    stack takes no equality rows), and gives one QpSolution per row.  The
+    rows share one interior point loop.  A member that meets its stop test
+    there goes through the crossover, as in solve_qp; any other member is
+    solved again on its own by solve_qp, which keeps the stalled-point
+    accept and the infeasibility and unboundedness verdicts.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 2:
+        f = f.ravel()
+        n = f.shape[0]
+        return solve_qp(QpProblem(h=np.zeros((n, n)), f=f, a_eq=a_eq,
+                                  b_eq=b_eq, a_in=a_in, b_in=b_in))
+    n = f.shape[1]
+    prob = QpProblem(h=np.zeros((n, n)), f=np.zeros(n), a_eq=a_eq, b_eq=b_eq,
+                     a_in=a_in, b_in=b_in)
+    if prob.a_eq.shape[0]:
+        raise DimensionMismatch("a stack of LPs takes no equality rows")
+    members = [prob.with_vectors(row) for row in f]
+    scales = [_scales(m) for m in members]
+    ends = _ipm(_Stack(prob, f), _scales(prob)[0],
+                np.array([sd for _, sd in scales]))
+    return [_polished(m, x, y, z, OPTIMAL, it, res, *sc) if ok else solve_qp(m)
+            for m, sc, (x, y, z, ok, it, res) in zip(members, scales, ends)]
 
 
 def _phase1(prob):

@@ -4,9 +4,10 @@ Nothing here trusts the synthesis pipeline: multiplier identities are
 re-evaluated from the stored data, set inclusions are decided by row-wise
 support LPs that never look at the multipliers, recursive feasibility is
 tested by literally propagating the plant and the stored feedback law from
-those LPs' maximizers and random hull mixtures of them, and the
-value-function decrease is checked one closed-loop step at a time.
-Failures are counted, never repaired.
+those LPs' maximizers and random hull mixtures of them, the terminal
+cost's decrease condition is recomputed from the certificate's gains and
+q_n, and the value-function decrease is checked one closed-loop step at a
+time.  Failures are counted, never repaired.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,8 @@ from .utils import VECTOR, read_keyed, write_keyed
 
 RESIDUAL_TOL = 1e-6
 SAMPLE_TOL = 1e-7
+# relative allowance below p_margin for the recomputed terminal slack
+SLACK_ALLOWANCE = 1e-9
 
 REPORT_HEADER = "# verification report, toolkit text format v1"
 
@@ -27,6 +30,7 @@ REPORT_KEYS = {
     "farkas_inequality": VECTOR, "srf_samples": int, "srf_failures": int,
     "srf_worst_margin": float, "lyapunov_samples": int,
     "lyapunov_failures": int, "lyapunov_worst_margin": float,
+    "terminal_slack": float, "p_margin": float,
     "valid": int,  # the verdict is written as 0 or 1
 }
 
@@ -38,7 +42,9 @@ class VerificationReport:
     farkas_residuals holds one dict per hull vertex with keys negativity,
     equality, inequality, each a nonnegative residual.  Each worst margin
     is its check's closest approach to violation: a certificate with room
-    reports a clearly negative number.
+    reports a clearly negative number.  terminal_slack is the terminal
+    cost's decrease-condition margin recomputed from the certificate, and
+    p_margin the margin the certificate claims for it.
     """
 
     farkas_residuals: list
@@ -48,11 +54,15 @@ class VerificationReport:
     lyapunov_samples: int
     lyapunov_failures: int
     lyapunov_worst_margin: float
+    terminal_slack: float
+    p_margin: float
 
     @property
     def valid(self):
         return (farkas_clean(self.farkas_residuals) and self.srf_failures == 0
-                and self.lyapunov_failures == 0)
+                and self.lyapunov_failures == 0
+                and self.terminal_slack
+                >= self.p_margin * (1.0 - SLACK_ALLOWANCE))
 
 
 def farkas_residuals(lam, inner_h, inner_rhs, outer_h, outer_rhs):
@@ -104,17 +114,18 @@ def check_farkas(cert, bundle, sys, w):
 def _support_lps(outer_h, inner_h, inner_rhs):
     """Maximize each outer row over {z : inner_h z <= inner_rhs}.
 
-    One LP per row, none skipped: returns each row's value and a maximizer
-    (a row of the returned matrix).  An empty inner set, certified as an
-    infeasible LP, gives -inf values; a row unbounded above gives +inf.
-    Such rows have NaN points.
+    One LP per row, none skipped, solved as one stack over the shared
+    inner set: returns each row's value and a maximizer (a row of the
+    returned matrix).  An empty inner set, certified as an infeasible LP,
+    gives -inf values; a row unbounded above gives +inf.  Such rows have
+    NaN points.
     """
     if outer_h.shape[1] != inner_h.shape[1]:
         raise ValueError("polytopes live in different ambient dimensions")
     values = np.full(outer_h.shape[0], np.inf)
     points = np.full(outer_h.shape, np.nan)
-    for i, row in enumerate(outer_h):
-        sol = qpsolver.linear_program(-row, a_in=inner_h, b_in=inner_rhs)
+    sols = qpsolver.linear_program(-outer_h, a_in=inner_h, b_in=inner_rhs)
+    for i, (row, sol) in enumerate(zip(outer_h, sols)):
         if sol.status == qpsolver.INFEASIBLE:
             return np.full(outer_h.shape[0], -np.inf), points
         if sol.status == qpsolver.UNBOUNDED:
@@ -239,6 +250,11 @@ def lyapunov_check(ctrl, sys, w, samples, rng):
     A sample whose online QP, at the state or at its successor, is
     infeasible or fails numerically also counts as a failure: the decrease
     bound presumes the controller stays solvable one step ahead.
+
+    This tests the online value function, not the terminal cost's decrease
+    condition, which terminal_slack recomputes: near the origin, where that
+    condition matters, the disturbance term does not shrink with |x| and
+    swamps the p_margin |x|^2 term.
     """
     if int(samples) < 1:
         raise ValueError("samples must be positive")
@@ -276,11 +292,22 @@ def lyapunov_check(ctrl, sys, w, samples, rng):
                        worst_margin=worst)
 
 
+def terminal_slack(cert, bundle, sys):
+    """Margin of the terminal cost's decrease condition, recomputed from the
+    certificate's gains, q_n and epsilon; the stored slack is not read."""
+    c_k = [prediction.build_gain_matrices(bundle, g, sys, j)[0]
+           for j, g in enumerate(cert.gains)]
+    return terminal.terminal_cost_slack(bundle, c_k, cert.q_x, cert.q_u,
+                                        cert.cost.q_n, cert.cost.epsilon)
+
+
 def verify_certificate(cert, sys, w, c, srf_samples, lyapunov_samples, rng):
-    """Full independent pass.  One set of support LPs decides both the
-    multiplier-free inclusion and recursive feasibility, so a certificate
-    whose containment fails gets an invalid report, whatever its
-    multipliers say."""
+    """Full independent pass.  One set of support LPs, a stack of one LP
+    per successor row for each vertex, decides both the multiplier-free
+    inclusion and recursive feasibility, so a certificate whose
+    containment fails gets an invalid report, whatever its multipliers
+    say.  The terminal cost's decrease condition is recomputed and must
+    reach the certificate's p_margin."""
     ctrl = mpc.make_controller(sys, w, c, cert)
     bundle = ctrl.bundle
     residuals = check_farkas(cert, bundle, sys, w)
@@ -295,6 +322,8 @@ def verify_certificate(cert, sys, w, c, srf_samples, lyapunov_samples, rng):
         lyapunov_samples=lyap.samples,
         lyapunov_failures=lyap.failures,
         lyapunov_worst_margin=lyap.worst_margin,
+        terminal_slack=terminal_slack(cert, bundle, sys),
+        p_margin=cert.cost.p_margin,
     )
 
 
@@ -313,6 +342,8 @@ def write_report(report):
         "lyapunov_samples": report.lyapunov_samples,
         "lyapunov_failures": report.lyapunov_failures,
         "lyapunov_worst_margin": report.lyapunov_worst_margin,
+        "terminal_slack": report.terminal_slack,
+        "p_margin": report.p_margin,
         "valid": report.valid,
     })
 
@@ -335,6 +366,8 @@ def read_report(text):
         lyapunov_samples=entries["lyapunov_samples"],
         lyapunov_failures=entries["lyapunov_failures"],
         lyapunov_worst_margin=entries["lyapunov_worst_margin"],
+        terminal_slack=entries["terminal_slack"],
+        p_margin=entries["p_margin"],
     )
     if entries["valid"] != report.valid:
         raise ModelFormatError("report: stored verdict contradicts the data")

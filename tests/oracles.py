@@ -3,13 +3,14 @@
 Nothing here shares code paths with the package solvers: the QP oracle
 enumerates active sets and solves exact KKT systems, the polytope oracle
 enumerates vertices from facet intersections.  Both are exponential and
-meant for tiny instances.  The replay re-propagates a closed-loop run
+meant for tiny instances.  The LP oracle is HiGHS, through scipy.  The replay re-propagates a closed-loop run
 through the plant from its recorded inputs and draws.
 """
 
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def brute_force_qp(h, f, a_in, b_in, a_eq=None, b_eq=None, tol=1e-9):
@@ -61,6 +62,14 @@ def brute_force_qp(h, f, a_in, b_in, a_eq=None, b_eq=None, tol=1e-9):
                 duals[list(combo)] = lam
                 best = (x, obj, duals)
     return best
+
+
+def highs_lp(f, a_in, b_in):
+    """(status, value) of min f'x s.t. a_in x <= b_in with x free, by
+    HiGHS: status 0 optimal, 2 infeasible, 3 unbounded."""
+    res = linprog(f, A_ub=a_in, b_ub=b_in, bounds=(None, None),
+                  method="highs")
+    return res.status, res.fun
 
 
 def polytope_vertices(hmat, hvec, tol=1e-8):

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,12 +233,17 @@ def test_verify_and_report_print_both_worst_margins(pipeline_dir, tmp_path,
     report = verify.read_report((tmp_path / "report.txt").read_text())
     assert f"srf worst margin {report.srf_worst_margin!r}" in printed
     assert f"lyapunov worst margin {report.lyapunov_worst_margin!r}" in printed
+    # the terminal slack verify recomputed, not the one the certificate stores
+    slack = f"terminal slack {report.terminal_slack!r} (p_margin 1e-06)"
+    assert slack in printed
     flags = ["--realizations", "1", "--steps", "2", "--seed", "3"]
     assert cli.main(simulate_args(pipeline_dir, tmp_path, flags)) == 0
     assert cli.main(["report", "--dir", str(tmp_path)]) == 0
     text = (tmp_path / "report.md").read_text()
     assert f"- srf worst margin: {report.srf_worst_margin!r}" in text
     assert (f"- lyapunov worst margin: {report.lyapunov_worst_margin!r}"
+            in text)
+    assert (f"- terminal slack: {report.terminal_slack!r} (p_margin 1e-06)"
             in text)
 
 
@@ -270,3 +279,27 @@ def test_svg_envelope_without_known_bounds():
     assert svg.startswith("<svg")
     assert "stroke-dasharray" not in svg
     assert svg.count("<polyline") == 4
+
+
+def test_cli_pins_one_blas_thread_before_numpy_loads():
+    # the console script imports the package (errors only), then cli; the
+    # pin must be in place when numpy is first imported
+    spy = (
+        "import os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import clrmpc.cli\n"
+        "print(seen, os.environ['OMP_NUM_THREADS'],"
+        " os.environ['MKL_NUM_THREADS'])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get(
+                   "PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", spy], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["['1']", "1", "1"]

@@ -26,7 +26,8 @@ def _report_text(tmp_path):
             {"negativity": 1e-300, "equality": 0.1, "inequality": -2.5e-07}],
         srf_samples=400, srf_failures=0, srf_worst_margin=-0.0001234,
         lyapunov_samples=8, lyapunov_failures=0,
-        lyapunov_worst_margin=-1.0000000000000002))
+        lyapunov_worst_margin=-1.0000000000000002,
+        terminal_slack=2.3655851399643583e-05, p_margin=1e-06))
 
 
 def _stats_text(tmp_path):

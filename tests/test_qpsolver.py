@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clrmpc import qpsolver
+from clrmpc import model, mpc, qpsolver, synthesis, verify
 from clrmpc.errors import DimensionMismatch
 from clrmpc.qpsolver import (
     INFEASIBLE,
@@ -18,7 +19,7 @@ from clrmpc.qpsolver import (
     solve_qp,
 )
 
-from oracles import brute_force_qp
+from oracles import brute_force_qp, highs_lp
 
 
 def test_scalar_bound_qp():
@@ -141,21 +142,23 @@ def test_determinism():
 
 def test_cholesky_kkt_solve_matches_scipy_wrappers():
     # the direct LAPACK path must reproduce cho_factor / cho_solve plus one
-    # refinement pass bit for bit; sizes include 14, the plan-support LP's
+    # refinement pass bit for bit, for each solve with the one factor;
+    # sizes include 14, the plan-support LP's
     rng = np.random.default_rng(11)
     reg = qpsolver.REG
     for n in range(1, 21):
         a_in = rng.standard_normal((6 * n, n))
         d = 10.0 ** rng.uniform(-3.0, 3.0, 6 * n)
         hbar = (a_in / d[:, None]).T @ a_in
-        rhs = rng.standard_normal(n)
         kmat = hbar + reg * np.eye(n)
         fac = sla.cho_factor(kmat, lower=True, check_finite=False)
-        sol = sla.cho_solve(fac, rhs, check_finite=False)
-        ref = sol + sla.cho_solve(fac, rhs - kmat @ sol, check_finite=False)
-        dx, dy = qpsolver._solve_kkt(hbar, np.zeros((0, n)), rhs, np.zeros(0), reg)
-        assert np.array_equal(dx, ref), f"n = {n}"
-        assert dy.shape == (0,)
+        solve = qpsolver._kkt_solver(hbar, np.zeros((0, n)), reg)
+        for rhs in rng.standard_normal((2, n)):
+            sol = sla.cho_solve(fac, rhs, check_finite=False)
+            ref = sol + sla.cho_solve(fac, rhs - kmat @ sol, check_finite=False)
+            dx, dy = solve(rhs, np.zeros(0))
+            assert np.array_equal(dx, ref), f"n = {n}"
+            assert dy.shape == (0,)
 
 
 def test_indefinite_kkt_falls_back_to_ldl(monkeypatch):
@@ -173,7 +176,7 @@ def test_indefinite_kkt_falls_back_to_ldl(monkeypatch):
     hbar = 0.5 * (hbar + hbar.T)
     rhs = rng.standard_normal(8)
     reg = qpsolver.REG
-    dx, _ = qpsolver._solve_kkt(hbar, np.zeros((0, 8)), rhs, np.zeros(0), reg)
+    dx, _ = qpsolver._kkt_solver(hbar, np.zeros((0, 8)), reg)(rhs, np.zeros(0))
     assert calls == [(8, 8)]
     residual = (hbar + reg * np.eye(8)) @ dx - rhs
     assert np.abs(residual).max() <= 1e-10 * np.abs(rhs).max()
@@ -368,3 +371,131 @@ def test_with_vectors_shares_matrices_and_checks_new_vectors():
         prob.with_vectors([np.inf, 0.0, 0.0])
     with pytest.raises(ValueError):
         prob.with_vectors(np.zeros(3), b_in=np.full(6, np.nan))
+
+
+COMMITTED = (Path(__file__).resolve().parents[1] / "perfbench"
+             / "msd_certificate.txt")
+
+
+def _bounded_lp_stack(seed, k):
+    """k objectives over one random polytope inside the box |x_i| <= 5 that
+    holds the origin strictly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    mi = int(rng.integers(n + 1, 2 * n + 4))
+    g = np.vstack([rng.standard_normal((mi, n)), np.eye(n), -np.eye(n)])
+    b = np.concatenate([rng.random(mi) + 0.2, np.full(2 * n, 5.0)])
+    return rng.standard_normal((k, n)), g, b
+
+
+def _assert_stack_matches(fs, a_in, b_in, sols):
+    # every member against its own 1-D call and against HiGHS
+    scale_p = 1.0 + np.abs(b_in).max()
+    for f, sol in zip(fs, sols):
+        single = linear_program(f, a_in=a_in, b_in=b_in)
+        status, value = highs_lp(f, a_in, b_in)
+        assert sol.status == single.status == OPTIMAL and status == 0
+        tol = 10 * qpsolver.TARGET_TOL * (1.0 + abs(single.objective))
+        assert abs(sol.objective - single.objective) <= tol
+        assert abs(sol.objective - value) <= 1e-7 * (1.0 + abs(value))
+        assert (a_in @ sol.x <= b_in + qpsolver.TARGET_TOL * scale_p).all()
+
+
+def test_stacked_lps_match_single_calls_and_highs():
+    for seed in range(30):
+        fs, g, b = _bounded_lp_stack(seed, 6)
+        _assert_stack_matches(fs, g, b, linear_program(fs, a_in=g, b_in=b))
+
+
+def test_stacked_msd_support_lps_match_single_calls_and_highs():
+    # two of verify's 96-row stacks over the lifted set {(s, w)}
+    sys_m, w_m, c_m = model.build_msd()
+    cert = synthesis.read_certificate(COMMITTED.read_text())
+    ctrl = mpc.make_controller(sys_m, w_m, c_m, cert)
+    inner_h, inner_rhs, outers, _ = verify._stacked_sets(cert, ctrl.bundle,
+                                                         sys_m, w_m)
+    for outer in (outers[0], outers[3]):
+        sols = linear_program(-outer, a_in=inner_h, b_in=inner_rhs)
+        assert len(sols) == 96
+        _assert_stack_matches(-outer, inner_h, inner_rhs, sols)
+
+
+def test_stack_over_an_empty_polytope_is_infeasible_for_every_member():
+    fs = np.array([[1.0], [-1.0], [0.0]])
+    sols = linear_program(fs, a_in=[[1.0], [-1.0]], b_in=[-2.0, 1.0])
+    assert [s.status for s in sols] == [INFEASIBLE] * 3
+
+
+def test_stack_member_unbounded_above_is_the_only_unbounded_one():
+    # x0 >= 0 is unbounded above, -1 <= x1 <= 1
+    a_in = [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    b_in = [0.0, 1.0, 1.0]
+    fs = np.array([[0.0, 1.0], [-1.0, 0.0], [1.0, -1.0]])
+    sols = linear_program(fs, a_in=a_in, b_in=b_in)
+    assert [s.status for s in sols] == [OPTIMAL, UNBOUNDED, OPTIMAL]
+    assert sols[0].objective == pytest.approx(-1.0, abs=1e-9)
+    assert sols[2].objective == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_stalled_member_is_solved_again_on_its_own(monkeypatch):
+    fs, g, b = _bounded_lp_stack(3, 5)
+    clean = linear_program(fs, a_in=g, b_in=b)
+    single = linear_program(fs[2], a_in=g, b_in=b)
+    real_residuals = qpsolver._Stack.residuals
+
+    def stalled(self, live, x, y, s, z):
+        # member 2's residuals stop moving, so the stall guard ends it
+        rd, re, ri, mu = real_residuals(self, live, x, y, s, z)
+        hit = live == 2
+        rd[hit], ri[hit], mu[hit] = 1.0, 1.0, 1.0
+        return rd, re, ri, mu
+
+    real_solve = qpsolver.solve_qp
+    calls = []
+    monkeypatch.setattr(qpsolver._Stack, "residuals", stalled)
+    monkeypatch.setattr(qpsolver, "solve_qp",
+                        lambda prob: calls.append(prob) or real_solve(prob))
+    sols = linear_program(fs, a_in=g, b_in=b)
+    assert len(calls) == 1 and np.array_equal(calls[0].f, fs[2])
+    assert np.array_equal(sols[2].x, single.x)
+    assert sols[2].iterations == single.iterations
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(sols[i].x, clean[i].x)
+
+
+def test_singular_member_leaves_the_stack(monkeypatch):
+    # a batched solve that meets an exactly singular matrix is redone
+    # member by member; the singular member leaves for its own solve
+    fs, g, b = _bounded_lp_stack(5, 4)
+    real = np.linalg.solve
+    seen = []
+
+    def solve(a, rhs):
+        seen.append(a.ndim)
+        if a.ndim == 3 and len(seen) == 5:
+            raise np.linalg.LinAlgError("Singular matrix")
+        if a.ndim == 2 and seen.count(2) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    sols = linear_program(fs, a_in=g, b_in=b)
+    monkeypatch.undo()
+    assert seen.count(2) == 4
+    _assert_stack_matches(fs, g, b, sols)
+
+
+def test_stack_is_deterministic_and_checks_its_input():
+    fs, g, b = _bounded_lp_stack(7, 5)
+    one, two = (linear_program(fs, a_in=g, b_in=b) for _ in range(2))
+    for s1, s2 in zip(one, two):
+        assert np.array_equal(s1.x, s2.x) and np.array_equal(s1.in_duals,
+                                                             s2.in_duals)
+        assert (s1.objective, s1.iterations) == (s2.objective, s2.iterations)
+    assert linear_program(fs[:0], a_in=g, b_in=b) == []
+    with pytest.raises(DimensionMismatch):
+        linear_program(fs, a_in=g, b_in=b, a_eq=g[:1], b_eq=b[:1])
+    with pytest.raises(DimensionMismatch):
+        linear_program(fs[:, :-1], a_in=g, b_in=b)
+    with pytest.raises(ValueError):
+        linear_program(np.full_like(fs, np.nan), a_in=g, b_in=b)

@@ -271,21 +271,23 @@ def test_report_of_committed_certificate_is_pinned():
     # the tau draws and the online solve, byte for byte; a change that
     # moves the online solve in its last digits, or the random numbers a
     # sample draws, updates this hash and says so in CHANGES.md with both
-    # hashes.  It last moved when the SRF check went from sampling LPs to
-    # the support LPs' maximizers, which also shifted the Lyapunov draws.
+    # hashes.  It last moved when the report gained the recomputed terminal
+    # slack and its p_margin; without those two lines it hashes as before
+    # (006bf517...), with the support LPs solved as stacks.
     sys_m, w_m, c_m = model.build_msd()
     cert = synthesis.read_certificate(COMMITTED.read_text())
     report = verify.verify_certificate(cert, sys_m, w_m, c_m, srf_samples=400,
                                        lyapunov_samples=8, rng=make_rng(1))
     assert sha256_hex(verify.write_report(report)) == (
-        "006bf517654fc0e34f6906107e374a372382f183c5f184338d8986b06dc21eab")
+        "4c6beeb18938fe3cb735e421ec0193546d145caa8d2a0c3279dbfffcbd1b489c")
 
 
 @pytest.mark.parametrize("negate", [False, True], ids=["clean", "negated"])
 def test_verify_certificate_solves_each_support_lp_once(monkeypatch, negate):
     # 4 vertices x 96 successor rows serve both the inclusion and the SRF
-    # check, whatever the Farkas check says; the only other LP is one
-    # boundary LP per Lyapunov sample, and the SRF draws solve none
+    # check, whatever the Farkas check says, as one stack of 96 LPs per
+    # vertex; the only other LP is one boundary LP per Lyapunov sample, and
+    # the SRF draws solve none
     sys_m, w_m, c_m = model.build_msd()
     cert = synthesis.read_certificate(COMMITTED.read_text())
     if negate:
@@ -296,14 +298,14 @@ def test_verify_certificate_solves_each_support_lp_once(monkeypatch, negate):
     real_lp = qpsolver.linear_program
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real_lp(*args, **kwargs)
+    def counted(f, **kwargs):
+        calls.append(len(f) if np.ndim(f) == 2 else 1)
+        return real_lp(f, **kwargs)
 
     monkeypatch.setattr(qpsolver, "linear_program", counted)
     report = verify.verify_certificate(cert, sys_m, w_m, c_m, srf_samples=50,
                                        lyapunov_samples=3, rng=make_rng(1))
-    assert len(calls) == 4 * 96 + 3
+    assert calls == [96] * 4 + [1] * 3
     assert report.srf_failures == 0
     assert report.valid != negate
     if negate:
@@ -329,11 +331,44 @@ def test_farkas_clean_certificate_that_fails_containment_is_invalid(row):
     assert not report.valid
 
 
+@pytest.mark.parametrize("scale", [0.9, 0.5])
+def test_terminal_cost_below_its_decrease_condition_is_invalid(scale):
+    # a smaller q_n leaves the Farkas, SRF and sampled Lyapunov checks
+    # clean; only the recomputed decrease condition sees it
+    sys_m, w_m, c_m = model.build_msd()
+    cert = synthesis.read_certificate(COMMITTED.read_text())
+    bad = dataclasses.replace(cert, cost=dataclasses.replace(
+        cert.cost, q_n=scale * cert.cost.q_n))
+    report = verify.verify_certificate(bad, sys_m, w_m, c_m, srf_samples=20,
+                                       lyapunov_samples=2, rng=make_rng(1))
+    assert report.srf_failures == report.lyapunov_failures == 0
+    assert verify.farkas_clean(report.farkas_residuals)
+    assert report.terminal_slack < 0.0 < report.p_margin
+    assert not report.valid
+    assert not verify.read_report(verify.write_report(report)).valid
+
+
+def test_terminal_slack_is_recomputed_on_every_certificate(
+        scalar_uncertain_controller, scalar_certain_controller):
+    sys_m, w_m, c_m = model.build_msd()
+    committed = synthesis.read_certificate(COMMITTED.read_text())
+    ctrl = mpc.make_controller(sys_m, w_m, c_m, committed)
+    cases = [(committed, ctrl.bundle, sys_m)] + [
+        (ctrl.certificate, ctrl.bundle, sys_s) for ctrl, sys_s, _, _ in
+        (scalar_uncertain_controller, scalar_certain_controller)]
+    for cert, bundle, sys_s in cases:
+        slack = verify.terminal_slack(cert, bundle, sys_s)
+        assert slack == cert.cost.slack
+        assert slack >= cert.cost.p_margin
+
+
 def test_tolerance_chain_is_ordered():
     # synthesis gates on nothing verify would reject: its worst slack gate
     # is no looser than the containment tolerance, which is no looser than
-    # the Farkas residual tolerance
+    # the Farkas residual tolerance; its terminal cost reaches p_margin
+    # itself, and verify accepts down to p_margin (1 - SLACK_ALLOWANCE)
     assert synthesis.SIGMA_GATE <= verify.SAMPLE_TOL <= verify.RESIDUAL_TOL
+    assert 0.0 <= verify.SLACK_ALLOWANCE <= verify.SAMPLE_TOL
 
 
 def test_report_rejects_tampered_verdict(scalar_uncertain_controller):
