@@ -12,15 +12,12 @@ Usage:
 """
 
 import argparse
-import os
 import sys
 
-# One BLAS thread before numpy loads: a threaded product sums in another
-# order, and only the one-thread synthesis reproduces the committed
-# perfbench/msd_certificate.txt byte for byte.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
+# cli comes first: importing it pins BLAS to one thread before numpy
+# loads, and only the one-thread synthesis reproduces the committed
+# perfbench/msd_certificate.txt byte for byte.  Nothing above may import
+# numpy.
 from clrmpc import cli, sim
 
 

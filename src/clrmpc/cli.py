@@ -236,12 +236,11 @@ def cmd_simulate(args):
     sys_m, w_m, c_m = _load_model(args)
     cert = _load_certificate(args.certificate, sys_m, w_m, c_m)
     ctrl = mpc.make_controller(sys_m, w_m, c_m, cert)
-    if not args.no_verify:
-        # structural re-check only; the sampled checks belong to verify
-        residuals = verify.check_farkas(cert, ctrl.bundle, sys_m, w_m)
-        if not verify.farkas_clean(residuals):
-            print("certificate fails the multiplier re-check", file=sys.stderr)
-            return EXIT_INVALID
+    # structural re-check only; the sampled checks belong to verify
+    residuals = verify.check_farkas(cert, ctrl.bundle, sys_m, w_m)
+    if not verify.farkas_clean(residuals):
+        print("certificate fails the multiplier re-check", file=sys.stderr)
+        return EXIT_INVALID
     if args.x0 is not None:
         x0 = np.asarray(parse_value(args.x0), dtype=float)
     elif args.builtin in BUILTIN_X0:
@@ -387,7 +386,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mode", choices=list(sim.MODES), default=sim.FIXED_DELTA)
     p.add_argument("--x0", help="initial state literal")
-    p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("report", help="consolidate pipeline artifacts")

@@ -1,11 +1,10 @@
 """Dense real linear algebra kernels used throughout the toolkit.
 
-Two operations carry the numerical load: a symmetric eigendecomposition
-used both inside the terminal cost search and as the independent check on
-its result, and a discrete algebraic Riccati solver for the terminal
-feedback gain.
+Two operations carry the numerical load: the eigenvalues of a symmetric
+matrix, the independent check on the terminal cost search's result, and a
+discrete algebraic Riccati solver for the terminal feedback gain.
 
-The eigendecomposition is a cyclic Jacobi iteration: sweeps of plane
+The eigenvalues come from a cyclic Jacobi iteration: sweeps of plane
 rotations annihilate off-diagonal entries until the off-diagonal Frobenius
 norm falls below 1e-12 times the input norm.  Jacobi is slower than QR
 iteration but every rotation is orthogonal by construction, which makes the
@@ -19,8 +18,6 @@ started at p = q.  For stabilizable (a, b) and detectable (a, q) the
 recursion converges linearly; the gain k = (r + b' p b)^-1 b' p a is checked
 a posteriori to give spectral radius(a - b k) < 1.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +38,6 @@ def as_matrix(m, name="matrix"):
     return a
 
 
-@dataclass
-class SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    values are ascending; vectors holds orthonormal eigenvectors as columns,
-    so m == vectors @ diag(values) @ vectors.T up to round-off.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def _check_symmetric(m, name):
     scale = 1.0 + float(np.abs(m).max(initial=0.0))
     if m.shape[0] != m.shape[1]:
@@ -62,7 +47,7 @@ def _check_symmetric(m, name):
 
 
 def sym_eig(m):
-    """Symmetric eigendecomposition by cyclic Jacobi rotations.
+    """Ascending eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rotate away every off-diagonal pair (p, q) in row order until the
     off-diagonal norm is at most 1e-12 * ||m||_F.  Raises NotSymmetric for
@@ -72,9 +57,8 @@ def sym_eig(m):
     _check_symmetric(m, "m")
     n = m.shape[0]
     a = 0.5 * (m + m.T)
-    v = np.eye(n)
     if n == 1:
-        return SymEig(values=a[0].copy(), vectors=v)
+        return a[0].copy()
 
     norm = np.linalg.norm(a)
     target = JACOBI_OFF_TOL * max(norm, np.finfo(float).tiny)
@@ -103,16 +87,10 @@ def sym_eig(m):
                 rq = a[q, :].copy()
                 a[p, :] = c * rp - s * rq
                 a[q, :] = s * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
     else:
         raise NoConvergence("jacobi sweeps exhausted before off-diagonal target")
 
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return SymEig(values=values[order], vectors=v[:, order])
+    return np.sort(np.diag(a), kind="stable")
 
 
 def spectral_radius(m):

@@ -148,23 +148,19 @@ class Polytope:
 
     @cached_property
     def bounding_box(self):
-        """Per-coordinate (lo, hi) bounds, from 2 * dim LPs on first use.
+        """Per-coordinate (lo, hi) bounds, from one stack of 2 * dim LPs
+        on first use.
 
         The result is kept on the instance, so h and b must not change
         once the box has been read.
         """
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for i in range(self.dim):
-            c = np.zeros(self.dim)
-            c[i] = 1.0
-            smin = qpsolver.linear_program(c, a_in=self.h, b_in=self.b)
-            smax = qpsolver.linear_program(-c, a_in=self.h, b_in=self.b)
-            if smin.status != qpsolver.OPTIMAL or smax.status != qpsolver.OPTIMAL:
-                raise EmptyPolytope("polytope is empty or unbounded")
-            lo[i] = smin.x[i]
-            hi[i] = smax.x[i]
-        return lo, hi
+        eye = np.eye(self.dim)
+        sols = qpsolver.linear_program(np.vstack([eye, -eye]), a_in=self.h,
+                                       b_in=self.b)
+        if any(sol.status != qpsolver.OPTIMAL for sol in sols):
+            raise EmptyPolytope("polytope is empty or unbounded")
+        x = np.array([sol.x for sol in sols])
+        return np.diag(x[:self.dim]).copy(), np.diag(x[self.dim:]).copy()
 
 
 @dataclass

@@ -26,12 +26,16 @@ from .errors import FingerprintMismatch, MpcInfeasible, SolverFailure
 
 @dataclass
 class MpcSolution:
-    """One solve: applied input, optimal value, and the nominal plan."""
+    """One solve: applied input, optimal value, and the planned inputs.
+
+    inputs holds one row per stage of the nominal plan and u is its first
+    row.  The planned states follow from x and inputs through the nominal
+    dynamics; no status is kept, since anything but an optimal solve
+    raises.
+    """
 
     u: np.ndarray
     value: float
-    status: str
-    states: np.ndarray
     inputs: np.ndarray
 
 
@@ -104,8 +108,9 @@ def make_controller(sys, w, c, cert):
 def solve_mpc(ctrl, x):
     """Solve the tightened nominal QP at state x and return the plan.
 
-    Infeasibility is a hard error: the state is outside the certified
-    region and no input is returned, clipped, or improvised.
+    Returns the first input, the optimal value of the stacked cost and the
+    planned inputs.  Infeasibility is a hard error: the state is outside
+    the certified region and no input is returned, clipped, or improvised.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (ctrl.bundle.n_x,):
@@ -119,16 +124,6 @@ def solve_mpc(ctrl, x):
             "no admissible input plan at the queried state", state=x.copy())
     if sol.status != qpsolver.OPTIMAL:
         raise SolverFailure("online QP ended with status " + sol.status)
-    bundle = ctrl.bundle
-    n, n_x, n_u = bundle.n, bundle.n_x, bundle.n_u
-    stacked = bundle.s_mat @ np.concatenate([x, sol.x])
-    states = stacked[: (n + 1) * n_x].reshape(n + 1, n_x)
-    inputs = stacked[(n + 1) * n_x:].reshape(n, n_u)
+    inputs = sol.x.reshape(ctrl.bundle.n, ctrl.bundle.n_u)
     value = float(sol.objective + x @ ctrl.v_map @ x)
-    return MpcSolution(
-        u=inputs[0].copy(),
-        value=value,
-        status=sol.status,
-        states=states,
-        inputs=inputs,
-    )
+    return MpcSolution(u=inputs[0].copy(), value=value, inputs=inputs)

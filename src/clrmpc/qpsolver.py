@@ -354,7 +354,9 @@ class _Stack:
     def __init__(self, prob, fs):
         self.prob, self.fs = prob, fs
         a = prob.a_in
-        self.outer = (a[:, :, None] * a[:, None, :]).reshape(a.shape[0], -1)
+        # an explicit width: a stack with no rows has nothing to infer it from
+        self.outer = (a[:, :, None] * a[:, None, :]).reshape(
+            a.shape[0], a.shape[1] ** 2)
 
     def start(self):
         k, n = self.fs.shape
@@ -577,14 +579,19 @@ def _active_set(prob, start, scale_p, scale_d):
 
     The guess itself is tried first.  Each round then solves the KKT
     system of the rows with positive duals plus the rows the last
-    candidate violates; the first round, at zero duals, takes only the
-    violated rows.  Returns (x, z, residuals, rounds) for the first
-    candidate _kkt_check accepts within ACTIVE_SET_ROUNDS, otherwise None.
+    candidate violates; the first round, at zero duals, takes the rows
+    the guess violates or touches (slack below TARGET_TOL scale_p), so
+    a guess at a constrained optimum is accepted after one round.
+    Returns (x, z, residuals, rounds) for the first candidate _kkt_check
+    accepts within ACTIVE_SET_ROUNDS, otherwise None.
     """
     x, y, z = start, np.zeros(0), np.zeros(prob.a_in.shape[0])
+    touch = TARGET_TOL * scale_p  # the first round only
     for rounds in range(ACTIVE_SET_ROUNDS + 1):
         if rounds:
-            active = np.flatnonzero((z > 0.0) | (prob.a_in @ x > prob.b_in))
+            active = np.flatnonzero((z > 0.0)
+                                    | (prob.a_in @ x > prob.b_in - touch))
+            touch = 0.0
             point = _active_kkt(prob, active, x, y, z)
             if point is None:
                 return None

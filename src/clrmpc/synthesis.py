@@ -347,32 +347,22 @@ def initial_guess(bundle, sys, w, cfg, k_y):
     disturbances on each constraint row when the loop is closed with
     k_y.  Terminal block i encodes the same stage constraint pushed to
     closed-loop time n+i, so it accumulates depth n+i along the base
-    row directions.  The whole vector is inflated by cfg.init_scale;
-    block 0 stays zero.
+    row directions.  The blocks are therefore the running sums, over
+    depths 0 to n + k', of one disturbance support per (step, row).  The
+    whole vector is inflated by cfg.init_scale; block 0 stays zero.
     """
-    n, n_x, n_c = bundle.n, bundle.n_x, bundle.n_c
+    n_x, n_c = bundle.n_x, bundle.n_c
     a_k = sys.a + sys.b @ k_y
     f, g, _ = bundle.stage_rows()
     fgk = f + g @ k_y
     k_prime = bundle.n_y // n_c - 1
 
-    mats = []
+    blocks = [np.zeros(n_c)]
     power = np.eye(n_x)
-    for _ in range(n + k_prime):
-        mats.append(power @ sys.b_w)
+    for _ in range(bundle.n + k_prime):
+        dirs = fgk @ (power @ sys.b_w)
+        blocks.append(blocks[-1] + [_w_support(w, d)[0] for d in dirs])
         power = a_k @ power
-
-    def accumulate(depth):
-        t_block = np.zeros(n_c)
-        for l in range(depth):
-            dirs = fgk @ mats[l]
-            for r in range(n_c):
-                value, _ = _w_support(w, dirs[r])
-                t_block[r] += value
-        return t_block
-
-    blocks = [accumulate(i) for i in range(n)]
-    blocks.extend(accumulate(n + i) for i in range(k_prime + 1))
     return np.concatenate(blocks) * cfg.init_scale
 
 

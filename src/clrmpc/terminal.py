@@ -49,10 +49,6 @@ class TerminalSet:
     k_y: np.ndarray
     k_prime: int
 
-    @property
-    def n_y(self):
-        return self.y.shape[0]
-
 
 @dataclass
 class TerminalCost:
@@ -231,5 +227,5 @@ def terminal_cost_slack(bundle, c_k_list, q_x, q_u, q_n, epsilon):
     """Margin of the restricted decrease LMI, via the package eigensolver."""
     pi = optimal_manifold(bundle, q_x, q_u, q_n)
     forms = _decrease_forms(bundle, c_k_list, q_x, q_u, q_n, epsilon, pi)
-    return min((float(linalg.sym_eig(form).values[0]) for _, form in forms),
+    return min((float(linalg.sym_eig(form)[0]) for _, form in forms),
                default=np.inf)

@@ -5,8 +5,10 @@ each decision has one owner; the imports form no cycle, prediction
 imports nothing but errors, and the verifier imports neither the
 synthesis it checks nor the command line front end.  Every public
 function and class has a caller in the package or its scripts: what
-only the tests call lives in the tests.  No module of the package, the
-scripts or the tests imports a name it never reads.
+only the tests call lives in the tests.  Every field of a package
+dataclass is read by name in the package, its scripts or its benchmark,
+bar the named exemptions.  No module of the package, the scripts or the
+tests imports a name it never reads.
 """
 
 import ast
@@ -17,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "clrmpc"
 SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 TESTS = ROOT / "tests"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
@@ -86,6 +89,27 @@ def _unread_public_names(modules, scripts):
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")}
     return sorted(defined - reads)
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Attribute) and d.attr == "dataclass"
+               for d in (d.func if isinstance(d, ast.Call) else d
+                         for d in node.decorator_list))
+
+
+def _unread_fields(modules, readers):
+    """Fields of the dataclasses in {name: tree}, as "module.Class.field",
+    that no attribute load in modules or readers names."""
+    reads = {node.attr for tree in (*modules.values(), *readers)
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [f"{m}.{cls.name}.{item.target.id}"
+              for m, tree in modules.items() for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return sorted(f for f in fields if f.rsplit(".", 1)[1] not in reads)
 
 
 def _unused_imports(tree):
@@ -161,6 +185,38 @@ def test_checker_sees_unread_public_names():
     assert _unread_public_names(modules, scripts) == ["a.Orphan", "a.unread"]
     assert _unread_public_names(modules, []) == [
         "a.Orphan", "a.unread", "b.run"]
+
+
+# fields kept without a reader outside the tests, each for its reason
+FIELD_EXEMPTIONS = {
+    # the solver's KKT answer, compared against reference solutions
+    "qpsolver.QpSolution.eq_duals",
+    # for the solver statistics the stage logs are to report
+    "qpsolver.QpSolution.kkt_residual",
+}
+
+
+def test_every_dataclass_field_has_a_reader():
+    modules = {p.stem: ast.parse(p.read_text(), filename=p.name)
+               for p in PACKAGE.glob("*.py")}
+    readers = [ast.parse(p.read_text(), filename=p.name)
+               for d in (SCRIPTS, PERFBENCH) for p in d.glob("*.py")]
+    assert _unread_fields(modules, readers) == sorted(FIELD_EXEMPTIONS)
+
+
+def test_checker_sees_unread_fields():
+    modules = {
+        "a": ast.parse("import dataclasses\nfrom dataclasses import dataclass\n"
+                       "@dataclass\nclass P:\n    x: int\n    y: int\n"
+                       "    def twice(self):\n        return 2 * self.x\n"
+                       "@dataclasses.dataclass(frozen=True)\nclass Q:\n"
+                       "    z: int\n    w: int\n    LIMIT = 3\n"
+                       "class Plain:\n    v: int\n"),
+        "b": ast.parse("def f(q):\n    q.y = 1\n    return q.z\n"),
+    }
+    scripts = [ast.parse("def g(p):\n    return p.y\n")]
+    assert _unread_fields(modules, scripts) == ["a.Q.w"]
+    assert _unread_fields(modules, []) == ["a.P.y", "a.Q.w"]
 
 
 def test_no_unused_imports():

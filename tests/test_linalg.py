@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clrmpc.errors import NotSymmetric, Unstabilizable
-from clrmpc.linalg import SymEig, solve_dare, spectral_radius, sym_eig
+from clrmpc.linalg import solve_dare, spectral_radius, sym_eig
 
 
 def rand_sym(rng, n):
@@ -13,14 +13,14 @@ def rand_sym(rng, n):
 
 
 def test_sym_eig_diagonal():
-    res = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(res.values, [1.0, 2.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(sym_eig(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0],
+                               atol=1e-12)
 
 
 def test_sym_eig_known_2x2():
     # eigenvalues of [[2,1],[1,2]] are 1 and 3
-    res = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(res.values, [1.0, 3.0], atol=1e-12)
+    np.testing.assert_allclose(sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]])),
+                               [1.0, 3.0], atol=1e-12)
 
 
 def test_sym_eig_rejects_asymmetric():
@@ -31,16 +31,14 @@ def test_sym_eig_rejects_asymmetric():
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_sym_eig_reconstructs(n, seed):
+    # the spectrum of m, against LAPACK's symmetric eigensolver
     rng = np.random.default_rng(seed)
     m = rand_sym(rng, n)
-    res = sym_eig(m)
-    recon = res.vectors @ np.diag(res.values) @ res.vectors.T
+    values = sym_eig(m)
     scale = 1.0 + np.abs(m).max()
-    assert np.abs(recon - m).max() <= 1e-9 * scale
-    # orthonormal columns
-    assert np.abs(res.vectors.T @ res.vectors - np.eye(n)).max() <= 1e-9
+    assert np.abs(values - np.linalg.eigvalsh(m)).max() <= 1e-9 * scale
     # ascending values
-    assert np.all(np.diff(res.values) >= -1e-12)
+    assert np.all(np.diff(values) >= 0.0)
 
 
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
@@ -50,8 +48,8 @@ def test_sym_eig_matches_shift(n, seed):
     rng = np.random.default_rng(seed)
     m = rand_sym(rng, n)
     c = float(rng.standard_normal())
-    base = sym_eig(m).values
-    shifted = sym_eig(m + c * np.eye(n)).values
+    base = sym_eig(m)
+    shifted = sym_eig(m + c * np.eye(n))
     np.testing.assert_allclose(shifted, base + c, atol=1e-8 * (1 + np.abs(base).max()))
 
 
@@ -90,8 +88,7 @@ def test_dare_residual_and_stability(n, m, seed):
     res = q + a.T @ p @ a - a.T @ p @ b @ np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a) - p
     assert np.abs(res).max() <= 1e-7 * (1 + np.abs(p).max())
     assert spectral_radius(a - b @ k) < 1.0
-    ev = sym_eig(p)
-    assert ev.values.min() > 0.0
+    assert sym_eig(p).min() > 0.0
 
 
 def test_dare_unstabilizable():
@@ -103,7 +100,7 @@ def test_dare_unstabilizable():
 
 
 def test_symeig_type_fields():
+    # a plain vector of eigenvalues, for a 1x1 matrix too
     res = sym_eig(np.eye(2))
-    assert isinstance(res, SymEig)
-    assert res.values.shape == (2,)
-    assert res.vectors.shape == (2, 2)
+    assert isinstance(res, np.ndarray) and res.shape == (2,)
+    assert sym_eig([[-2.0]]).tolist() == [-2.0]

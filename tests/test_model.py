@@ -176,8 +176,23 @@ def test_sample_disturbance_general_polytope(monkeypatch):
     for _ in range(50):
         d = model.sample_disturbance(w, rng)
         assert w.contains(d, tol=1e-9)
-    # the bounding box is solved once per set: two LPs per coordinate
-    assert len(calls) == 2 * w.dim
+    # the bounding box is solved once per set: one stack of two LPs per
+    # coordinate
+    assert len(calls) == 1
+
+
+def test_bounding_box_of_empty_or_unbounded_sets_raises():
+    diamond = model.Polytope(h=[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+                             b=[0.5] * 4)
+    lo, hi = diamond.bounding_box
+    np.testing.assert_allclose(lo, [-0.5, -0.5], atol=1e-9)
+    np.testing.assert_allclose(hi, [0.5, 0.5], atol=1e-9)
+    for h, b in (([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0]),  # a strip
+                 ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                  [-1.0, 0.5, 1.0, 1.0]),  # empty
+                 (np.zeros((0, 2)), np.zeros(0))):  # no rows at all
+        with pytest.raises(EmptyPolytope):
+            model.Polytope(h=h, b=b).bounding_box
 
 
 def test_model_text_round_trip_exact():

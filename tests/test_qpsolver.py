@@ -305,6 +305,11 @@ def test_start_rounds_reach_the_interior_point_answer():
     np.testing.assert_allclose(sol.in_duals, [4.0, 0, 0, 0, 2.0, 0], atol=1e-12)
     np.testing.assert_allclose(sol.x, cold.x, atol=1e-7)
     np.testing.assert_allclose(sol.in_duals, cold.in_duals, atol=1e-6)
+    # a start at the optimum touches the two active rows: one round
+    at_opt = solve_qp(prob, start=[1.0, -1.0, 0.5])
+    assert at_opt.status == OPTIMAL and at_opt.iterations == 1
+    np.testing.assert_allclose(at_opt.x, [1.0, -1.0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(at_opt.in_duals, [4.0, 0, 0, 0, 2.0, 0], atol=1e-12)
     # an unconstrained minimizer inside the box is accepted as it stands
     inner = solve_qp(prob.with_vectors([-1.0, 0.4, -0.2]), start=[0.5, -0.2, 0.1])
     assert inner.iterations == 0

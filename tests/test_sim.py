@@ -116,7 +116,7 @@ def test_violation_threshold_follows_solver_tolerance(
     for over, expected in ((0.5 * (1e-7 + tol), []), (2.0 * tol, [(0, 2)])):
         u = np.array([b[2] + over])
         monkeypatch.setattr(mpc, "solve_mpc", lambda ctrl_, x: mpc.MpcSolution(
-            u=u, value=0.0, status=qpsolver.OPTIMAL, states=None, inputs=None))
+            u=u, value=0.0, inputs=u[None, :]))
         traj = sim.run_closed_loop(ctrl, sys, w, [0.0], 1, make_rng(0))
         assert traj.violations == expected
 

@@ -73,6 +73,38 @@ def test_initial_guess_stage_one_block_row_maxima():
     assert np.allclose(t[n_c:2 * n_c], expected, atol=1e-12)
 
 
+def test_initial_guess_on_a_diamond_disturbance_set(monkeypatch):
+    # W = {|w_1| + |w_2| <= rho} is no box, so each support is an LP; the
+    # support of a direction d is rho max_i |d_i|
+    sys_m, _, c_m = model.build_msd()
+    rho = 0.5
+    w = model.Polytope(h=[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+                       b=[rho] * 4)
+    assert w.box_bounds is None
+    cfg = synthesis.SynthesisConfig()
+    q_x, q_u = cfg.weights(sys_m)
+    ts = terminal.build_terminal_set(sys_m, c_m, cfg.k_prime, q_x=q_x, q_u=q_u)
+    bundle = prediction.build_bundle(sys_m, c_m, ts.y, ts.z, cfg.n)
+    calls = []
+    real_lp = qpsolver.linear_program
+    monkeypatch.setattr(qpsolver, "linear_program",
+                        lambda *a, **k: calls.append(1) or real_lp(*a, **k))
+    t = synthesis.initial_guess(bundle, sys_m, w, cfg, k_y=ts.k_y)
+    # block i sums the supports of (F + G K_y) (A + B K_y)^l B_w, l < i,
+    # over the n stage blocks and the k' + 1 terminal blocks
+    steps = cfg.n + cfg.k_prime
+    a_k = sys_m.a + sys_m.b @ ts.k_y
+    fgk = c_m.f + c_m.g @ ts.k_y
+    support = [rho * np.abs(fgk @ np.linalg.matrix_power(a_k, l) @ sys_m.b_w).max(axis=1)
+               for l in range(steps)]
+    expected = np.concatenate([sum(support[:i], np.zeros(c_m.n_c))
+                               for i in range(steps + 1)]) * cfg.init_scale
+    assert t.shape == expected.shape
+    assert np.allclose(t, expected, rtol=1e-7, atol=1e-9)
+    # one support LP per (step, row), not one per (block, step, row)
+    assert len(calls) == steps * c_m.n_c
+
+
 def test_initial_guess_blocks_monotone():
     sys, w, c, cfg, ts, bundle = scalar_setup()
     t = synthesis.initial_guess(bundle, sys, w, cfg, k_y=ts.k_y)
